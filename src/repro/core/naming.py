@@ -37,6 +37,8 @@ __all__ = [
     "matching_specs",
     "best_spec_from_name",
     "stt_candidates",
+    "stt_orbit",
+    "ARRAY_SYMMETRIES",
     "letters_match",
     "KNOWN_GEMM_DATAFLOWS",
 ]
@@ -109,8 +111,8 @@ def _matrix_complexity(matrix: tuple[tuple[int, ...], ...]) -> tuple:
 @lru_cache(maxsize=None)
 def _candidate_matrices(bound: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All full-rank 3x3 matrices with entries in ``[-bound, bound]``,
-    complexity-ordered.  Cached: the bound-1 set (17k matrices) is reused by
-    every name lookup and by design-space enumeration."""
+    complexity-ordered.  Cached: the bound-1 set (11,808 matrices) is reused
+    by every name lookup and by design-space enumeration."""
     values = range(-bound, bound + 1)
     out = []
     for flat in itertools.product(values, repeat=9):
@@ -121,10 +123,68 @@ def _candidate_matrices(bound: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def stt_candidates(bound: int = 1) -> Iterator[STT]:
-    """Complexity-ordered stream of valid STT matrices."""
+#: The 8 symmetries of a square PE array (dihedral group) as maps of a PE
+#: offset ``(p1, p2)``: relabelling PE coordinates produces electrically
+#: identical hardware.
+ARRAY_SYMMETRIES = (
+    lambda p1, p2: (p1, p2),
+    lambda p1, p2: (p2, p1),
+    lambda p1, p2: (-p1, p2),
+    lambda p1, p2: (p1, -p2),
+    lambda p1, p2: (-p1, -p2),
+    lambda p1, p2: (-p2, p1),
+    lambda p1, p2: (p2, -p1),
+    lambda p1, p2: (-p2, -p1),
+)
+
+
+def stt_orbit(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The 16 images of an STT matrix under the group G acting on the left:
+    an array symmetry on the two space rows times ``+-1`` on the time row.
+
+    ``G`` acts freely on full-rank matrices (``H T = T`` forces ``H = I``), so
+    the 16 images are distinct.
+    """
+    space1, space2, time = matrix
+    flipped = tuple(-v for v in time)
+    images = []
+    for sym in ARRAY_SYMMETRIES:
+        cols = [sym(a, b) for a, b in zip(space1, space2)]
+        rows = (tuple(c[0] for c in cols), tuple(c[1] for c in cols))
+        images.append((*rows, time))
+        images.append((*rows, flipped))
+    return tuple(images)
+
+
+@lru_cache(maxsize=None)
+def _orbit_minimal_matrices(bound: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The complexity-minimum of every G-orbit (:func:`stt_orbit`), in
+    complexity order: 738 of the 11,808 bound-1 matrices.
+
+    The candidate set is closed under ``G`` (signed row permutations keep
+    entry bounds and rank), so walking it in order, the first unseen matrix of
+    each orbit is that orbit's minimum.
+    """
+    seen: set = set()
+    out = []
     for matrix in _candidate_matrices(bound):
-        yield STT(matrix)
+        if matrix not in seen:
+            seen.update(stt_orbit(matrix))
+            out.append(matrix)
+    return tuple(out)
+
+
+def stt_candidates(bound: int = 1, *, orbit_minimal: bool = False) -> Iterator[STT]:
+    """Complexity-ordered stream of valid STT matrices.
+
+    ``orbit_minimal=True`` streams only the complexity-minimum of each orbit
+    under the array symmetries times a time-row sign flip (:func:`stt_orbit`)
+    — exact for any consumer whose verdicts are invariant under that group,
+    such as canonical design-space enumeration.
+    """
+    source = _orbit_minimal_matrices if orbit_minimal else _candidate_matrices
+    for matrix in source(bound):
+        yield STT.trusted(matrix)
 
 
 def spec_from_name(

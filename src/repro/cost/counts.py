@@ -105,13 +105,12 @@ def count_resources(spec: DataflowSpec, rows: int, cols: int, width: int = 16) -
         kind = flow.kind
         if kind is DataflowType.SYSTOLIC:
             s1, s2, dt = flow.systolic_direction
-            entries = sum(1 for p in grid.points() if grid.is_entry(p, (s1, s2)))
+            entries = grid.entry_count((s1, s2))
             total.regs += (grid.size - entries) * (dt - 1)
             if not flow.is_output:
                 total.sram_ports_per_cycle += entries
             else:
-                exits = sum(1 for p in grid.points() if grid.is_exit(p, (s1, s2)))
-                total.sram_ports_per_cycle += exits
+                total.sram_ports_per_cycle += grid.entry_count((-s1, -s2))  # exits
         elif kind is DataflowType.UNICAST:
             total.sram_ports_per_cycle += grid.size
         elif kind is DataflowType.MULTICAST:
@@ -124,7 +123,7 @@ def count_resources(spec: DataflowSpec, rows: int, cols: int, width: int = 16) -
                 total.adds += grid.size - len(lines)
                 total.regs += len(lines)  # root registers
             else:
-                total.bus_wire_hops += sum(len(line.points) for line in lines)
+                total.bus_wire_hops += grid.size  # the lines partition the array
         elif kind is DataflowType.BROADCAST:
             total.sram_ports_per_cycle += 1
             if flow.is_output:
@@ -143,7 +142,7 @@ def count_resources(spec: DataflowSpec, rows: int, cols: int, width: int = 16) -
             mc = (flow.multicast_direction[0], flow.multicast_direction[1])
             lines = grid.lines(mc)
             if not flow.is_output:
-                total.bus_wire_hops += sum(len(line.points) for line in lines)
+                total.bus_wire_hops += grid.size  # the lines partition the array
             if flow.is_output:
                 total.adds += (grid.size - len(lines)) + len(lines)
                 total.regs += len(lines)
@@ -154,7 +153,7 @@ def count_resources(spec: DataflowSpec, rows: int, cols: int, width: int = 16) -
             lines = grid.lines(mc)
             chains = grid.line_chain(mc, (sy[0], sy[1]))
             if not flow.is_output:
-                total.bus_wire_hops += sum(len(line.points) for line in lines)
+                total.bus_wire_hops += grid.size  # the lines partition the array
             total.sram_ports_per_cycle += len(chains)
             hops = len(lines) - len(chains)
             if flow.is_output:

@@ -8,13 +8,20 @@ Lines
 Multicast buses and systolic chains group PEs into *lines* along a direction
 ``d``: the set of PEs reachable from each other by integer steps of ``d``.
 The cross product ``row * d2 - col * d1`` is constant along a line and serves
-as its raw id; :func:`line_ids` normalizes raw ids to a dense ``0..G-1``
-range for port naming.
+as its raw id; :meth:`Grid.line_index` normalizes raw ids to a dense
+``0..G-1`` range for port naming.
+
+Every geometric query depends only on the array shape and one direction (or
+one multicast/systolic direction pair), while design-space sweeps ask the same
+few questions for thousands of designs.  Lines and line chains are therefore
+memoized per ``(rows, cols, direction)`` in bounded caches and returned as
+immutable tuples; boundary counts and step maxima have closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 __all__ = ["Grid", "cross", "Line"]
@@ -88,21 +95,27 @@ class Grid:
     def is_exit(self, p: Sequence[int], d: Sequence[int]) -> bool:
         return (p[0] + d[0], p[1] + d[1]) not in self
 
+    # -- boundary summaries (closed forms of the per-PE walks above) ------
+    def max_entry_steps(self, d: Sequence[int]) -> int:
+        """``max(entry_point(p, d)[1] for p in points())``.
+
+        The backward walk from ``p`` stops at the first axis to leave the
+        array, and the axes are independent, so the maximum is the smallest
+        per-axis maximum.  The exit maximum is ``max_entry_steps(-d)``.
+        """
+        return min((n - 1) // abs(s) for n, s in zip((self.rows, self.cols), d) if s)
+
+    def entry_count(self, d: Sequence[int]) -> int:
+        """Number of PEs with ``is_entry(p, d)``: all of them but those whose
+        predecessor ``p - d`` lies in the array.  Exits are ``entry_count(-d)``.
+        """
+        inner = max(0, self.rows - abs(d[0])) * max(0, self.cols - abs(d[1]))
+        return self.size - inner
+
     # -- lines -------------------------------------------------------------
-    def lines(self, d: Sequence[int]) -> list[Line]:
+    def lines(self, d: Sequence[int]) -> tuple[Line, ...]:
         """All lines along direction ``d``, indexed densely by raw id order."""
-        if d[0] == 0 and d[1] == 0:
-            raise ValueError("lines need a nonzero direction")
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for p in self.points():
-            groups.setdefault(cross(p, d), []).append(p)
-        lines = []
-        for index, raw in enumerate(sorted(groups)):
-            pts = groups[raw]
-            # Order points along +d (project onto d).
-            pts.sort(key=lambda p: p[0] * d[0] + p[1] * d[1])
-            lines.append(Line(raw_id=raw, index=index, points=tuple(pts)))
-        return lines
+        return _lines(self.rows, self.cols, (d[0], d[1]))
 
     def line_index(self, d: Sequence[int]) -> dict[int, int]:
         """Map raw line id -> dense index for direction ``d``."""
@@ -121,25 +134,51 @@ class Grid:
         """
         return cross(sy_space, mc)
 
-    def line_chain(self, mc: Sequence[int], sy_space: Sequence[int]) -> list[list[int]]:
+    def line_chain(
+        self, mc: Sequence[int], sy_space: Sequence[int]
+    ) -> tuple[tuple[int, ...], ...]:
         """Chains of raw line ids connected by systolic hops.
 
-        Returns one list per chain, ordered from entry line to exit line.
+        Returns one tuple per chain, ordered from entry line to exit line.
         Raises if the shift is zero (the systolic direction must actually move
         across lines — otherwise the two reuse directions are parallel, which
         a rank-2 reuse space precludes).
         """
-        shift = self.line_shift(mc, sy_space)
-        if shift == 0:
-            raise ValueError("systolic direction does not cross multicast lines")
-        raw_ids = {line.raw_id for line in self.lines(mc)}
-        chains = []
-        for raw in sorted(raw_ids):
-            if raw - shift not in raw_ids:  # entry line
-                chain = []
-                cur = raw
-                while cur in raw_ids:
-                    chain.append(cur)
-                    cur += shift
-                chains.append(chain)
-        return chains
+        return _line_chain(self.rows, self.cols, (mc[0], mc[1]), (sy_space[0], sy_space[1]))
+
+
+@lru_cache(maxsize=1024)
+def _lines(rows: int, cols: int, d: tuple[int, int]) -> tuple[Line, ...]:
+    if d[0] == 0 and d[1] == 0:
+        raise ValueError("lines need a nonzero direction")
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for r in range(rows):
+        for c in range(cols):
+            groups.setdefault(cross((r, c), d), []).append((r, c))
+    lines = []
+    for index, raw in enumerate(sorted(groups)):
+        pts = groups[raw]
+        # Order points along +d (project onto d).
+        pts.sort(key=lambda p: p[0] * d[0] + p[1] * d[1])
+        lines.append(Line(raw_id=raw, index=index, points=tuple(pts)))
+    return tuple(lines)
+
+
+@lru_cache(maxsize=1024)
+def _line_chain(
+    rows: int, cols: int, mc: tuple[int, int], sy_space: tuple[int, int]
+) -> tuple[tuple[int, ...], ...]:
+    shift = cross(sy_space, mc)
+    if shift == 0:
+        raise ValueError("systolic direction does not cross multicast lines")
+    raw_ids = {line.raw_id for line in _lines(rows, cols, mc)}
+    chains = []
+    for raw in sorted(raw_ids):
+        if raw - shift not in raw_ids:  # entry line
+            chain = []
+            cur = raw
+            while cur in raw_ids:
+                chain.append(cur)
+                cur += shift
+            chains.append(tuple(chain))
+    return tuple(chains)

@@ -84,8 +84,7 @@ def plan_memory(spec: DataflowSpec, info: ArrayInfo) -> MemoryConfig:
             n, pattern = chains, "per_line"
         elif kind is DataflowType.SYSTOLIC:
             s = wiring.sy_space
-            n = sum(1 for p in grid.points() if grid.is_entry(p, s))
-            pattern = "stream"
+            n, pattern = grid.entry_count(s), "stream"
         elif kind is DataflowType.STATIONARY:
             n, pattern = grid.cols, "per_column"
         elif kind in (DataflowType.BROADCAST, DataflowType.FULL_REUSE):

@@ -144,31 +144,25 @@ class StagePlan:
         for flow in self.spec.input_flows:
             if flow.kind is DataflowType.SYSTOLIC:
                 s1, s2, dt = flow.systolic_direction
-                max_steps = max(
-                    self.grid.entry_point(p, (s1, s2))[1] for p in self.grid.points()
-                )
-                lead = max(lead, max_steps * dt)
+                lead = max(lead, self.grid.max_entry_steps((s1, s2)) * dt)
             elif flow.kind is DataflowType.SYSTOLIC_MULTICAST:
-                mc = (flow.multicast_direction[0], flow.multicast_direction[1])
-                sy = flow.systolic_direction
-                chains = self.grid.line_chain(mc, (sy[0], sy[1]))
-                max_pos = max(len(chain) - 1 for chain in chains)
-                lead = max(lead, max_pos * sy[2])
+                lead = max(lead, self._max_chain_hops(flow) * flow.systolic_direction[2])
         return lead
+
+    def _max_chain_hops(self, flow) -> int:
+        """Most line-to-line hops along a systolic+multicast chain."""
+        mc = flow.multicast_direction
+        sy = flow.systolic_direction
+        chains = self.grid.line_chain((mc[0], mc[1]), (sy[0], sy[1]))
+        return max(len(chain) - 1 for chain in chains)
 
     def _compute_out_lag(self) -> int:
         flow = self.spec.output_flow
         if flow.kind is DataflowType.SYSTOLIC:
             s1, s2, dt = flow.systolic_direction
-            max_steps = max(
-                self.grid.exit_point(p, (s1, s2))[1] for p in self.grid.points()
-            )
-            return max_steps * dt
+            return self.grid.max_entry_steps((-s1, -s2)) * dt
         if flow.kind is DataflowType.SYSTOLIC_MULTICAST:
-            mc = (flow.multicast_direction[0], flow.multicast_direction[1])
-            sy = flow.systolic_direction
-            chains = self.grid.line_chain(mc, (sy[0], sy[1]))
-            return max(len(chain) - 1 for chain in chains) * sy[2]
+            return self._max_chain_hops(flow) * flow.systolic_direction[2]
         return 0
 
     def _compute_timing(self) -> StageTiming:

@@ -25,7 +25,10 @@ three analytic effects:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.dataflow import DataflowSpec, DataflowType
 from repro.hw.plan import StagePlan
@@ -102,7 +105,7 @@ class PerfModel:
         else:
             packed1, packed2 = f1, f2
         pack_factor = (packed1 // f1) * (packed2 // f2)
-        active_pes = self._active_pes(spec, plan) * pack_factor
+        active_pes = _active_pes(spec.stt.space_rows, plan.tile_extents) * pack_factor
         utilization = active_pes / cfg.pes
 
         # --- per-stage cycles --------------------------------------------
@@ -164,33 +167,6 @@ class PerfModel:
         return self.evaluate(spec_from_name(statement, name))
 
     # ------------------------------------------------------------------
-    def _active_pes(self, spec: DataflowSpec, plan: StagePlan) -> int:
-        """Distinct PE coordinates touched by one (unpacked) tile."""
-        space_rows = spec.stt.space_rows
-        # Only loops with a nonzero column in some space row affect placement.
-        relevant = [
-            i
-            for i in range(len(plan.tile_extents))
-            if any(row[i] != 0 for row in space_rows)
-        ]
-        count = 1
-        for i in relevant:
-            count *= plan.tile_extents[i]
-        if count > 1_000_000:
-            return plan.footprint[0] * plan.footprint[1]
-        import itertools
-
-        seen = set()
-        ranges = [
-            range(plan.tile_extents[i]) if i in relevant else range(1)
-            for i in range(len(plan.tile_extents))
-        ]
-        for x in itertools.product(*ranges):
-            p1 = sum(c * v for c, v in zip(space_rows[0], x))
-            p2 = sum(c * v for c, v in zip(space_rows[1], x))
-            seen.add((p1, p2))
-        return len(seen)
-
     def _elements_per_cycle(
         self, spec: DataflowSpec, plan: StagePlan, active_pes: int
     ) -> float:
@@ -204,8 +180,7 @@ class PerfModel:
                 demand += active_pes  # every PE hits the buffer every cycle
             elif kind is DataflowType.SYSTOLIC:
                 s = flow.systolic_direction
-                entries = sum(1 for p in grid.points() if grid.is_entry(p, (s[0], s[1])))
-                demand += entries
+                demand += grid.entry_count((s[0], s[1]))
             elif kind in (DataflowType.MULTICAST,):
                 demand += len(grid.lines((flow.multicast_direction[0], flow.multicast_direction[1])))
             elif kind in (DataflowType.BROADCAST, DataflowType.FULL_REUSE):
@@ -226,3 +201,37 @@ class PerfModel:
             else:  # pragma: no cover
                 raise AssertionError(kind)
         return demand
+
+
+@lru_cache(maxsize=4096)
+def _active_pes(space_rows: tuple, tile_extents: tuple) -> int:
+    """Distinct PE coordinates touched by one (unpacked) tile.
+
+    Depends on nothing else, and a sweep sees few distinct (space rows, tile)
+    pairs, so the count is memoized.
+    """
+    # Only loops with a nonzero column in some space row affect placement.
+    relevant = [
+        i
+        for i in range(len(tile_extents))
+        if any(row[i] != 0 for row in space_rows)
+    ]
+    count = 1
+    for i in relevant:
+        count *= tile_extents[i]
+    if count > 1_000_000:
+        # too many points to walk: the footprint (box image) bounds them
+        return math.prod(
+            sum(abs(c) * (t - 1) for c, t in zip(row, tile_extents)) + 1
+            for row in space_rows
+        )
+    seen = set()
+    ranges = [
+        range(tile_extents[i]) if i in relevant else range(1)
+        for i in range(len(tile_extents))
+    ]
+    for x in itertools.product(*ranges):
+        p1 = sum(c * v for c, v in zip(space_rows[0], x))
+        p2 = sum(c * v for c, v in zip(space_rows[1], x))
+        seen.add((p1, p2))
+    return len(seen)

@@ -158,3 +158,90 @@ class TestLineChains:
         chains = g.line_chain(mc, sy)
         covered = [raw for chain in chains for raw in chain]
         assert sorted(covered) == sorted(line.raw_id for line in g.lines(mc))
+
+
+ALL_DIRS = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
+SHAPES = [(8, 8), (16, 16), (8, 16)]
+
+
+def _brute_lines(g, d):
+    groups = {}
+    for p in g.points():
+        groups.setdefault(cross(p, d), []).append(p)
+    return [
+        (raw, index, tuple(sorted(groups[raw], key=lambda p: p[0] * d[0] + p[1] * d[1])))
+        for index, raw in enumerate(sorted(groups))
+    ]
+
+
+def _brute_chains(g, mc, sy):
+    shift = cross(sy, mc)
+    raw_ids = {raw for raw, _, _ in _brute_lines(g, mc)}
+    chains = []
+    for raw in sorted(raw_ids):
+        if raw - shift not in raw_ids:
+            chain = [raw]
+            while chain[-1] + shift in raw_ids:
+                chain.append(chain[-1] + shift)
+            chains.append(chain)
+    return chains
+
+
+class TestMemoizedGeometry:
+    """The cached / closed-form helpers equal the per-PE computations."""
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_lines_match_brute_force(self, rows, cols):
+        g = Grid(rows, cols)
+        for d in ALL_DIRS:
+            got = [(line.raw_id, line.index, line.points) for line in g.lines(d)]
+            assert got == _brute_lines(g, d), d
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_line_chains_match_brute_force(self, rows, cols):
+        g = Grid(rows, cols)
+        for mc in ALL_DIRS:
+            for sy in ALL_DIRS:
+                if cross(sy, mc) == 0:
+                    with pytest.raises(ValueError):
+                        g.line_chain(mc, sy)
+                    continue
+                got = [list(chain) for chain in g.line_chain(mc, sy)]
+                assert got == _brute_chains(g, mc, sy), (mc, sy)
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_step_maxima_match_brute_force(self, rows, cols):
+        g = Grid(rows, cols)
+        for d in ALL_DIRS:
+            neg = (-d[0], -d[1])
+            assert g.max_entry_steps(d) == max(g.entry_point(p, d)[1] for p in g.points())
+            assert g.max_entry_steps(neg) == max(g.exit_point(p, d)[1] for p in g.points())
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_boundary_counts_match_brute_force(self, rows, cols):
+        g = Grid(rows, cols)
+        for d in ALL_DIRS:
+            neg = (-d[0], -d[1])
+            assert g.entry_count(d) == sum(1 for p in g.points() if g.is_entry(p, d))
+            assert g.entry_count(neg) == sum(1 for p in g.points() if g.is_exit(p, d))
+
+    def test_results_are_immutable_and_unaffected_by_mutation(self):
+        g = Grid(8, 16)
+        lines = g.lines((1, 1))
+        chains = g.line_chain((0, 1), (1, 0))
+        before_lines = [(line.raw_id, line.index, line.points) for line in lines]
+        before_chains = [list(c) for c in chains]
+        with pytest.raises(TypeError):
+            lines[0] = lines[1]
+        with pytest.raises(TypeError):
+            chains[0][0] = 99
+        with pytest.raises(AttributeError):
+            lines[0].points = ()
+        index = g.line_index((1, 1))
+        index.clear()
+        copy = list(g.lines((1, 1)))
+        copy.pop()
+        again = Grid(8, 16)
+        assert [(line.raw_id, line.index, line.points) for line in again.lines((1, 1))] == before_lines
+        assert [list(c) for c in again.line_chain((0, 1), (1, 0))] == before_chains
+        assert len(again.line_index((1, 1))) == len(before_lines)

@@ -127,3 +127,33 @@ class TestPacking:
         unpacked = PerfModel(ArrayConfig(), allow_packing=False).evaluate(spec)
         assert packed.utilization > unpacked.utilization
         assert packed.cycles < unpacked.cycles
+
+
+class TestActivePes:
+    """The memoized active-PE count equals walking every tile point."""
+
+    @staticmethod
+    def brute(space_rows, tile):
+        import itertools
+
+        return len(
+            {
+                tuple(sum(c * v for c, v in zip(row, x)) for row in space_rows)
+                for x in itertools.product(*(range(t) for t in tile))
+            }
+        )
+
+    def test_matches_brute_force(self):
+        from repro.perf.model import _active_pes
+
+        for matrix in naming._candidate_matrices(1)[::59]:
+            space_rows = matrix[:2]
+            for tile in ((1, 1, 1), (16, 16, 1), (4, 3, 5), (2, 16, 7)):
+                assert _active_pes(space_rows, tile) == self.brute(space_rows, tile)
+
+    def test_huge_tiles_fall_back_to_the_footprint(self):
+        from repro.perf.model import _active_pes
+
+        # 1001 x 1001 relevant points: the count is the box image, not a walk
+        assert _active_pes(((1, 0, 0), (0, 1, 0)), (1001, 1001, 3)) == 1001 * 1001
+        assert _active_pes(((1, 1, 0), (0, 1, 0)), (1001, 1001, 3)) == 2001 * 1001
