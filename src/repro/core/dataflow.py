@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from repro.core.linalg import IntVector
-from repro.core.reuse import ReuseSpace, orient, reuse_space
+from repro.core.linalg import IntVector, nullspace
+from repro.core.reuse import ReuseSpace, map_directions, orient
 from repro.core.stt import STT
 from repro.ir.einsum import Statement
 from repro.ir.tensor import TensorAccess
 
-__all__ = ["DataflowType", "TensorDataflow", "DataflowSpec", "analyze"]
+__all__ = ["DataflowType", "TensorDataflow", "DataflowSpec", "analyze", "selection_directions"]
 
 
 class DataflowType(enum.Enum):
@@ -268,15 +268,38 @@ class TensorDataflow:
         return f"{self.tensor_name}:{self.kind.value}[{dirs}]"
 
 
+def selection_directions(
+    statement: Statement, selected: Sequence[str]
+) -> tuple[tuple[IntVector, ...], ...]:
+    """Per-tensor iteration-space reuse directions for one loop selection.
+
+    Each is the nullspace of the tensor's access matrix restricted to the
+    selected loops (see :func:`repro.core.reuse.reuse_space`).  They do not
+    depend on the STT, so a sweep over many STTs for one selection computes
+    them once and passes them to every :class:`DataflowSpec` it builds.
+    """
+    return tuple(nullspace(acc.restrict(selected)) for acc in statement.accesses)
+
+
 class DataflowSpec:
     """A complete dataflow choice: statement + loop selection + STT.
 
     This is the central object of the framework — everything downstream
     (hardware generation, simulation schedules, performance/area/power
     models) consumes a ``DataflowSpec``.
+
+    ``directions`` optionally supplies :func:`selection_directions` of
+    ``(statement, selected)``, already computed by the caller.
     """
 
-    def __init__(self, statement: Statement, selected: Sequence[str], stt: STT):
+    def __init__(
+        self,
+        statement: Statement,
+        selected: Sequence[str],
+        stt: STT,
+        *,
+        directions: tuple[tuple[IntVector, ...], ...] | None = None,
+    ):
         if len(selected) != stt.n:
             raise ValueError(f"need exactly {stt.n} selected loops, got {selected}")
         for name in selected:
@@ -287,6 +310,7 @@ class DataflowSpec:
         self.statement = statement
         self.selected = tuple(selected)
         self.stt = stt
+        self._directions = directions
         self._flows: tuple[TensorDataflow, ...] | None = None
 
     @property
@@ -302,13 +326,16 @@ class DataflowSpec:
         """
         flows = self._flows
         if flows is None:
+            directions = self._directions
+            if directions is None:
+                directions = selection_directions(self.statement, self.selected)
             flows = self._flows = tuple(
                 TensorDataflow(
                     access=acc,
-                    reuse=(r := reuse_space(acc.restrict(self.selected), self.stt)),
+                    reuse=(r := map_directions(dirs, self.stt)),
                     kind=classify(r),
                 )
-                for acc in self.statement.accesses
+                for acc, dirs in zip(self.statement.accesses, directions)
             )
         return flows
 

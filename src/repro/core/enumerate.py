@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.core.dataflow import DataflowSpec, DataflowType
+from repro.core.dataflow import DataflowSpec, DataflowType, selection_directions
+from repro.core.linalg import IntVector
 from repro.core.naming import ARRAY_SYMMETRIES, stt_candidates
+from repro.core.reuse import orient
 from repro.ir.einsum import Statement
 
 __all__ = [
@@ -54,11 +57,8 @@ def is_realizable(spec: DataflowSpec, *, max_step: int = 1, max_delay: int = 1) 
     nearest-neighbour interconnect.
     """
     for fl in spec.flows:
-        for vec in fl.reuse.basis:
-            *space, dt = vec
-            if any(abs(v) > max_step for v in space):
-                return False
-            if abs(dt) > max_delay:
+        for p1, p2, dt in fl.reuse.basis:
+            if abs(p1) > max_step or abs(p2) > max_step or abs(dt) > max_delay:
                 return False
     return True
 
@@ -70,19 +70,27 @@ def canonical_signature(spec: DataflowSpec) -> tuple:
     every reuse vector, re-orients, sorts each tensor's basis, and returns the
     lexicographically smallest variant.  Two specs with equal canonical
     signatures generate identical hardware up to mirroring/rotating the array.
-    """
-    from repro.core.reuse import orient
 
-    variants = []
-    for sym in ARRAY_SYMMETRIES:
-        per_tensor = []
-        for fl in spec.flows:
-            basis = sorted(
-                orient((*sym(vec[0], vec[1]), vec[2])) for vec in fl.reuse.basis
-            )
-            per_tensor.append((fl.tensor_name, fl.kind.value, tuple(basis)))
-        variants.append(tuple(per_tensor))
-    return min(variants)
+    A variant is a tuple of ``(tensor name, kind, image of the basis)``; name
+    and kind are the same in all 8, so the smallest variant is the one whose
+    tuple of basis images is smallest.  The images of one basis come from
+    :func:`_symmetry_images`, memoized on the basis alone: a sweep meets few
+    distinct bases, so a signature costs one cache lookup per tensor.
+    """
+    flows = spec.flows
+    best = min(zip(*(_symmetry_images(fl.reuse.basis) for fl in flows)))
+    return tuple(
+        (fl.tensor_name, fl.kind.value, image) for fl, image in zip(flows, best)
+    )
+
+
+@lru_cache(maxsize=4096)
+def _symmetry_images(basis: tuple[IntVector, ...]) -> tuple[tuple[IntVector, ...], ...]:
+    """The sorted, oriented image of ``basis`` under each of the 8 array symmetries."""
+    return tuple(
+        tuple(sorted(orient((*sym(p1, p2), dt)) for p1, p2, dt in basis))
+        for sym in ARRAY_SYMMETRIES
+    )
 
 
 def loop_selections(statement: Statement) -> Iterator[tuple[str, ...]]:
@@ -181,10 +189,14 @@ def iter_specs(
     seen = seen if seen is not None else set()
     stats = stats if stats is not None else EnumerationStats()
     count = 0
+    try:
+        directions = selection_directions(statement, selected)
+    except (KeyError, ValueError):
+        directions = None  # a bad selection: every DataflowSpec below raises
     for stt in stt_candidates(bound, orbit_minimal=canonical and not predicates):
         stats.candidates += 1
         try:
-            spec = DataflowSpec(statement, selected, stt)
+            spec = DataflowSpec(statement, selected, stt, directions=directions)
         except ValueError:
             stats.invalid += 1
             continue

@@ -29,10 +29,7 @@ from repro.core import linalg
 from repro.core.linalg import IntVector
 from repro.core.stt import STT
 
-__all__ = ["ReuseSpace", "reuse_space", "orient", "TIME_AXIS"]
-
-#: The time axis direction in space-time coordinates.
-TIME_AXIS: IntVector = (0, 0, 1)
+__all__ = ["ReuseSpace", "reuse_space", "map_directions", "orient"]
 
 
 def orient(vec: Sequence[int]) -> IntVector:
@@ -42,18 +39,14 @@ def orient(vec: Sequence[int]) -> IntVector:
     representative with ``dt > 0`` (data flows forward in time), falling back
     to a positive first nonzero space component for ``dt = 0`` vectors.
     """
-    v = tuple(int(x) for x in vec)
-    if all(x == 0 for x in v):
-        return v
-    dt = v[-1]
-    if dt < 0:
-        return tuple(-x for x in v)
-    if dt > 0:
-        return v
-    first = next(x for x in v if x != 0)
-    if first < 0:
-        return tuple(-x for x in v)
-    return v
+    v = tuple(vec)
+    lead = v[-1] if v else 0
+    if not lead:
+        for x in v:
+            if x:
+                lead = x
+                break
+    return tuple([-x for x in v]) if lead < 0 else v
 
 
 @dataclass(frozen=True)
@@ -95,12 +88,14 @@ class ReuseSpace:
         if self.dim == 0:
             return False
         if self.dim == 1:
-            return linalg.primitive(self.basis[0]) == TIME_AXIS
+            p1, p2, dt = self.basis[0]
+            return p1 == 0 and p2 == 0 and dt != 0
         if self.dim == 3:
             return True
-        # dim 2: t-axis in span(b1, b2)  <=>  rank([b1; b2; t]) == 2
-        stacked = (*self.basis, TIME_AXIS)
-        return linalg.rank(stacked) == 2
+        # dim 2: t-axis in span(b1, b2)  <=>  det([b1; b2; t]) == 0, i.e. the
+        # space parts of the two (independent) basis vectors are parallel
+        (p1, p2, _), (q1, q2, _) = self.basis
+        return p1 * q2 == p2 * q1
 
     def is_time_invariant(self) -> bool:
         """True when every reuse direction has ``dt = 0`` (vertical case)."""
@@ -118,16 +113,36 @@ def reuse_space(access_sub: Sequence[Sequence[int]], stt: STT) -> ReuseSpace:
     and therefore full 3-D reuse: one element is shared by the entire
     stage — an array-wide reduction for outputs, an array-wide broadcast of a
     held value for inputs.
+
+    This is :func:`map_directions` applied to the nullspace of
+    ``access_sub``; the nullspace does not involve the STT, so a caller
+    classifying many STTs for one loop selection solves it once and maps it
+    per STT.
     """
     if not access_sub or len(access_sub[0]) != stt.n:
         raise ValueError(
             f"restricted access matrix must have {stt.n} columns, got {access_sub}"
         )
+    return map_directions(linalg.nullspace(access_sub), stt)
+
+
+def map_directions(directions: Sequence[IntVector], stt: STT) -> ReuseSpace:
+    """Map iteration-space reuse directions through a 3x3 STT.
+
+    Each direction ``d`` becomes the oriented lattice step ``T @ d``; ``d``
+    is sign-flipped alongside whenever orienting flips its image.
+    """
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = stt.matrix
     basis: list[IntVector] = []
     iter_basis: list[IntVector] = []
-    for it_dir in linalg.nullspace(access_sub):
-        mapped = linalg.mat_vec(stt.matrix, it_dir)
-        oriented = orient(mapped)
+    for d in directions:
+        d0, d1, d2 = d
+        step = (
+            a0 * d0 + a1 * d1 + a2 * d2,
+            b0 * d0 + b1 * d1 + b2 * d2,
+            c0 * d0 + c1 * d1 + c2 * d2,
+        )
+        oriented = orient(step)
         basis.append(oriented)
-        iter_basis.append(it_dir if oriented == tuple(mapped) else tuple(-v for v in it_dir))
+        iter_basis.append(d if oriented == step else (-d0, -d1, -d2))
     return ReuseSpace(basis=tuple(basis), iter_basis=tuple(iter_basis))

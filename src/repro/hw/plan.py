@@ -29,46 +29,52 @@ from repro.hw.geometry import Grid
 __all__ = ["choose_tile", "StagePlan", "Stage"]
 
 
-def _space_footprint(space_rows, tile: Sequence[int]) -> tuple[int, int]:
-    """Extent of the tile's image under the two space rows (box image)."""
-    spans = []
-    for row in space_rows:
-        lo = sum(min(0, coeff) * (t - 1) for coeff, t in zip(row, tile))
-        hi = sum(max(0, coeff) * (t - 1) for coeff, t in zip(row, tile))
-        spans.append(hi - lo + 1)
-    return (spans[0], spans[1])
+def _box_image(matrix_rows, tile: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lowest and highest value of each row over the tile box ``[0, t-1]^n``."""
+    lo = tuple(sum(min(0, c) * (t - 1) for c, t in zip(row, tile)) for row in matrix_rows)
+    hi = tuple(sum(max(0, c) * (t - 1) for c, t in zip(row, tile)) for row in matrix_rows)
+    return lo, hi
 
 
 def choose_tile(spec: DataflowSpec, rows: int, cols: int) -> dict[str, int]:
     """Pick tile extents for the selected loops so the space image fits.
 
-    Greedy: grow the loop whose increment keeps the footprint legal and adds
-    the most parallelism, until nothing can grow.  For unit space rows this
-    reduces to "spatial loops tile to the array dimension, the time loop runs
-    in full", matching the paper's experiments.
+    Greedy round robin: each pass grows every loop by one whose increment
+    keeps the footprint legal, until a pass grows nothing.  For unit space
+    rows this reduces to "spatial loops tile to the array dimension, the time
+    loop runs in full", matching the paper's experiments.
+
+    The footprint of row ``r`` is ``1 + sum_i |c_ri| (t_i - 1)``, so growing
+    loop ``i`` widens it by exactly ``|c_ri|``; both spans are tracked
+    incrementally.  A loop with an all-zero space column never moves the
+    footprint and goes straight to its extent, and a loop that fails to grow
+    once never grows again (spans only widen), so it leaves the round robin.
     """
     sel_space = spec.selected_space
     extents = sel_space.extents
     space_rows = spec.stt.space_rows
-    dims = (rows, cols)
     tile = [1] * len(extents)
-
-    def fits(t: Sequence[int]) -> bool:
-        fp = _space_footprint(space_rows, t)
-        return fp[0] <= dims[0] and fp[1] <= dims[1]
-
-    if not fits(tile):
+    lo, hi = _box_image(space_rows, tile)
+    span0, span1 = hi[0] - lo[0] + 1, hi[1] - lo[1] + 1
+    if span0 > rows or span1 > cols:
         raise ValueError(f"even a 1x1x1 tile does not fit a {rows}x{cols} array")
-    grew = True
-    while grew:
-        grew = False
-        for i in range(len(tile)):
-            if tile[i] < extents[i]:
-                cand = list(tile)
-                cand[i] += 1
-                if fits(cand):
-                    tile = cand
-                    grew = True
+    steps = [(abs(c0), abs(c1)) for c0, c1 in zip(*space_rows)]
+    growing = []
+    for i, (s0, s1) in enumerate(steps):
+        if s0 or s1:
+            growing.append(i)
+        else:
+            tile[i] = extents[i]
+    while growing:
+        still = []
+        for i in growing:
+            s0, s1 = steps[i]
+            if tile[i] < extents[i] and span0 + s0 <= rows and span1 + s1 <= cols:
+                tile[i] += 1
+                span0 += s0
+                span1 += s1
+                still.append(i)
+        growing = still
     return dict(zip(sel_space.names, tile))
 
 
@@ -107,29 +113,18 @@ class StagePlan:
                 raise ValueError(f"tile extent {self.tile[name]} invalid for loop {name!r}")
         self.tile_extents = tuple(self.tile[n] for n in sel.names)
 
-        # Space image of the local tile box and its normalizing offset.
-        space_rows = spec.stt.space_rows
-        p_lo = []
-        p_hi = []
-        for row in space_rows:
-            lo = sum(min(0, c) * (t - 1) for c, t in zip(row, self.tile_extents))
-            hi = sum(max(0, c) * (t - 1) for c, t in zip(row, self.tile_extents))
-            p_lo.append(lo)
-            p_hi.append(hi)
-        self.space_offset = (-p_lo[0], -p_lo[1])
-        footprint = (p_hi[0] - p_lo[0] + 1, p_hi[1] - p_lo[1] + 1)
+        # Space-time image of the local tile box: the space rows give the
+        # normalizing offset and footprint, the time row the stage-local span.
+        lo, hi = _box_image(spec.stt.matrix, self.tile_extents)
+        self.space_offset = (-lo[0], -lo[1])
+        footprint = (hi[0] - lo[0] + 1, hi[1] - lo[1] + 1)
         if footprint[0] > rows or footprint[1] > cols:
             raise ValueError(
                 f"tile space footprint {footprint} exceeds array {rows}x{cols}"
             )
         self.footprint = footprint
-
-        # Stage-local time range.
-        trow = spec.stt.time_row
-        t_lo = sum(min(0, c) * (t - 1) for c, t in zip(trow, self.tile_extents))
-        t_hi = sum(max(0, c) * (t - 1) for c, t in zip(trow, self.tile_extents))
-        self.t_min = t_lo
-        self.t_span = t_hi - t_lo + 1
+        self.t_min = lo[2]
+        self.t_span = hi[2] - lo[2] + 1
 
         # Systolic injection lead: worst-case boundary-to-PE travel time.
         self.lead = self._compute_lead()

@@ -6,11 +6,13 @@ in the results: same order, same metrics, same structured failures, however
 the shards landed and whichever servers died along the way.
 """
 
+import time
+
 import pytest
 
 from repro.api import LocalSession
 from repro.explore.engine import MemoCache
-from repro.perf.model import ArrayConfig
+from repro.perf.model import ArrayConfig, PerfModel
 from repro.service import (
     CoordinatedSession,
     RemoteSession,
@@ -23,6 +25,15 @@ SMALL_ARRAY = ArrayConfig(rows=4, cols=4)
 WORKLOADS = ["gemm", "batched_gemv"]
 #: Wire-serializable engine options that keep each shard fast.
 SWEEP_KW = dict(one_d_only=True, selections=[("m", "n", "k")])
+
+
+class SlowPerf(PerfModel):
+    """The perf model, 2 ms slower per design: a server built on it is still
+    mid-shard when a test cancels its job or stops it on the first row."""
+
+    def evaluate(self, spec):
+        time.sleep(0.002)
+        return super().evaluate(spec)
 
 
 def names_and_metrics(results):
@@ -155,9 +166,8 @@ class TestFailureModes:
             session.sweep(WORKLOADS, **SWEEP_KW)
         session.close()
 
-    def test_shard_failure_budget_raises(self, fleet):
+    def test_shard_failure_budget_raises(self):
         """A shard that keeps failing must raise, never silently drop work."""
-        a, _ = fleet
 
         class AlwaysFailJobs(RemoteSession):
             def submit_job(self, *args, **kwargs):
@@ -165,15 +175,17 @@ class TestFailureModes:
                 super().cancel_job(job["id"])  # forces failed/cancelled polls
                 return job
 
-        coordinator = SweepCoordinator(
-            [a.url],
-            array=ARRAY,
-            max_retries=1,
-            session_factory=lambda url: AlwaysFailJobs(url, array=ARRAY),
-        )
-        with pytest.raises(RuntimeError, match="failed after"):
-            coordinator.sweep(WORKLOADS, **SWEEP_KW)
-        coordinator.close()
+        # a slow server: the cancel always lands before the shard completes
+        with ServiceThread(LocalSession(perf=SlowPerf(ARRAY))) as a:
+            coordinator = SweepCoordinator(
+                [a.url],
+                array=ARRAY,
+                max_retries=1,
+                session_factory=lambda url: AlwaysFailJobs(url, array=ARRAY),
+            )
+            with pytest.raises(RuntimeError, match="failed after"):
+                coordinator.sweep(WORKLOADS, **SWEEP_KW)
+            coordinator.close()
 
 
 class TestFallback:
@@ -375,7 +387,8 @@ class TestPipelinedFolding:
         wait for), and the survivor's fold is identical to local."""
         import asyncio
 
-        victim = ServiceThread(LocalSession(ARRAY)).start()
+        # a slow victim: its first row arrives with most of the shard to go
+        victim = ServiceThread(LocalSession(perf=SlowPerf(ARRAY))).start()
         survivor = ServiceThread(LocalSession(ARRAY)).start()
 
         class KillOnFirstStreamedRow(RemoteSession):

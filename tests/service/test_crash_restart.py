@@ -37,10 +37,11 @@ from .faultlib import (
 )
 
 ARRAY = ArrayConfig(rows=8, cols=8)
-#: One mid-size job: ~200 designs, seconds of evaluation — long enough that
-#: a kill triggered off the journal lands mid-run, short enough for CI.
-WORKLOAD = "gemm"
-EXTENTS = {"m": 12, "n": 12, "k": 12}
+#: One mid-size job: ~800 designs, about a second of evaluation — long
+#: enough that a kill triggered off the journal lands mid-run, short enough
+#: for CI.
+WORKLOAD = "mttkrp"
+EXTENTS = {"i": 12, "j": 12, "k": 12, "l": 12}
 
 
 def _wait_terminal(remote, job_id, budget=120):

@@ -277,7 +277,7 @@ class TestJobs:
             remote = RemoteSession(thread.url)
             # a job that runs long enough to hold the runner busy
             long_job = remote.submit_job(
-                ["gemm"], extents={"m": 64, "n": 64, "k": 64}
+                [{"workload": "gemm", "extents": {"m": 64, "n": 64, "k": 64}}, "mttkrp"]
             )
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
@@ -315,8 +315,7 @@ class TestJobs:
             remote = RemoteSession(thread.url)
             job = remote.submit_job(
                 # two slow workloads: the cancel lands while the first runs
-                ["gemm", "batched_gemv"],
-                extents={"m": 64, "n": 64, "k": 64},
+                [{"workload": "gemm", "extents": {"m": 64, "n": 64, "k": 64}}, "mttkrp"],
             )
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
@@ -543,9 +542,15 @@ class TestJobRowStreaming:
         session = LocalSession(ArrayConfig(rows=8, cols=8))
         with ServiceThread(session) as thread:
             remote = RemoteSession(thread.url)
+            # conv2d keeps the job running long after its first rows, so the
+            # cancel below cannot arrive after the sweep has finished
+            cube = {"m": 64, "n": 64, "k": 64}
             job = remote.submit_job(
-                ["gemm", "batched_gemv"],
-                extents={"m": 64, "n": 64, "k": 64},
+                [
+                    {"workload": "gemm", "extents": cube},
+                    {"workload": "batched_gemv", "extents": cube},
+                    "conv2d",
+                ],
                 stream_rows=True,
             )
             stream = RemoteSession(thread.url).iter_job_rows(job["id"])
