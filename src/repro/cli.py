@@ -43,12 +43,23 @@ from repro.perf.model import ArrayConfig
 __all__ = ["main"]
 
 
+def _array_dim(text: str) -> int:
+    """An array dimension (``--rows``/``--cols``): an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, with_dataflow: bool = True) -> None:
     parser.add_argument("workload", choices=sorted(workloads.TABLE_II))
     if with_dataflow:
         parser.add_argument("dataflow", help="paper-style name, e.g. MNK-SST")
-    parser.add_argument("--rows", type=int, default=4)
-    parser.add_argument("--cols", type=int, default=4)
+    parser.add_argument("--rows", type=_array_dim, default=4)
+    parser.add_argument("--cols", type=_array_dim, default=4)
     parser.add_argument(
         "--extent",
         action="append",
@@ -408,8 +419,8 @@ def _add_explore_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "workloads", nargs="+", choices=sorted(workloads.TABLE_II), metavar="workload"
     )
-    parser.add_argument("--rows", type=int, default=16)
-    parser.add_argument("--cols", type=int, default=16)
+    parser.add_argument("--rows", type=_array_dim, default=16)
+    parser.add_argument("--cols", type=_array_dim, default=16)
     parser.add_argument("--width", type=int, default=16)
     parser.add_argument(
         "--extent",
@@ -745,8 +756,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--port", type=int, default=8321, help="0 picks an ephemeral port"
     )
-    p_serve.add_argument("--rows", type=int, default=16)
-    p_serve.add_argument("--cols", type=int, default=16)
+    p_serve.add_argument("--rows", type=_array_dim, default=16)
+    p_serve.add_argument("--cols", type=_array_dim, default=16)
     p_serve.add_argument("--width", type=int, default=16)
     p_serve.add_argument(
         "--workers", type=int, default=0,

@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.dataflow import DataflowSpec, DataflowType
+from repro.core.dataflow import DataflowSpec, DataflowType, selection_directions
 from repro.core.enumerate import (
     EnumerationStats,
     Predicate,
@@ -216,7 +216,7 @@ class EvaluationResult:
 class MemoCache:
     """Two-level memo cache: in-memory dict plus optional on-disk JSON.
 
-    Three sections, all keyed by strings stable across processes and runs:
+    Four sections, all keyed by strings stable across processes and runs:
 
     - ``points`` — evaluated metrics (or structured failures) keyed by
       ``(statement, selection, canonical_signature, array_config,
@@ -285,7 +285,9 @@ class MemoCache:
                 return
             tmp = f"{self.path}.tmp.{os.getpid()}"
             with open(tmp, "w") as fh:
-                json.dump(self._data, fh, separators=(",", ":"))
+                # dumps, not dump: dump streams through the pure-Python
+                # encoder, dumps runs the C one; the bytes are the same
+                fh.write(json.dumps(self._data, separators=(",", ":")))
             os.replace(tmp, self.path)
             self._dirty = False
 
@@ -498,7 +500,18 @@ class EvaluationEngine:
             dataclasses.astuple(self.cost.params),
         )
 
-    def _design_key(self, statement: Statement, spec: DataflowSpec) -> str:
+    def _key_prefix(self, statement: Statement) -> tuple[str, str]:
+        """The per-run parts of every design key, each ``repr``-ed once."""
+        return repr(self._statement_key(statement)), repr(self._config_key())
+
+    def _design_key(self, prefix: tuple[str, str], spec: DataflowSpec) -> str:
+        """``repr((statement_key, selected, signature, config_key))``.
+
+        Assembled from the run's :meth:`_key_prefix` instead of re-``repr``-ing
+        the statement and config per design; a tuple's ``repr`` is its items'
+        ``repr`` joined by ``", "``, so the string is byte-identical and keys
+        persisted by earlier runs still hit.
+        """
         # Canonical signatures identify hardware up to mirroring/rotating the
         # array, which only preserves the models' outputs when the array is
         # square; rectangular arrays fall back to the exact signature.
@@ -506,9 +519,8 @@ class EvaluationEngine:
             sig = canonical_signature(spec)
         else:
             sig = spec.signature()
-        return repr(
-            (self._statement_key(statement), spec.selected, sig, self._config_key())
-        )
+        stmt, cfg = prefix
+        return f"({stmt}, {spec.selected!r}, {sig!r}, {cfg})"
 
     # -- stage 1+2: streaming enumeration with pruning ------------------
     def iter_space(
@@ -553,11 +565,24 @@ class EvaluationEngine:
             stored = self.cache.get("spaces", space_key)
             if stored is not None:
                 stats.space_cache_hit = True
+                # the reuse directions depend on the selection only, and a
+                # stored space lists each selection's designs together: solve
+                # them once per selection, as iter_designs does
+                last_sel, directions = None, None
                 for sel, matrix in stored:
+                    sel = tuple(sel)
+                    if sel != last_sel:
+                        last_sel = sel
+                        try:
+                            directions = selection_directions(statement, sel)
+                        except (KeyError, ValueError, TypeError):
+                            # a bad stored selection: DataflowSpec raises below
+                            directions = None
                     yield DataflowSpec(
                         statement,
-                        tuple(sel),
+                        sel,
                         STT(tuple(tuple(row) for row in matrix)),
+                        directions=directions,
                     )
                 return
         recorded: list[list] = []
@@ -605,13 +630,16 @@ class EvaluationEngine:
         )
 
     def _lookup(
-        self, statement: Statement, spec: DataflowSpec, stats: EvaluationStats
+        self, prefix: tuple[str, str], spec: DataflowSpec, stats: EvaluationStats
     ) -> tuple[tuple | None, str | None]:
-        """Memo-cache probe: ``(cached outcome, None)`` or ``(None, put-key)``."""
+        """Memo-cache probe: ``(cached outcome, None)`` or ``(None, put-key)``.
+
+        ``prefix`` is the run's :meth:`_key_prefix`.
+        """
         stats.enumerated += 1
         if self.cache is None:
             return None, None
-        key = self._design_key(statement, spec)
+        key = self._design_key(prefix, spec)
         cached = self.cache.get("points", key)
         if cached is not None:
             stats.cache_hits += 1
@@ -657,11 +685,12 @@ class EvaluationEngine:
             source = specs
         else:
             source = self.iter_space(statement, stats=stats, **space_kwargs)
+        prefix = self._key_prefix(statement)
         seq = seq_start
         try:
             if workers <= 1:
                 for spec in source:
-                    outcome, key = self._lookup(statement, spec, stats)
+                    outcome, key = self._lookup(prefix, spec, stats)
                     if outcome is None:
                         outcome = _evaluate_one(spec, self.perf, self.cost)
                         stats.evaluated += 1
@@ -675,7 +704,7 @@ class EvaluationEngine:
                     yield point
             else:
                 def lookup(spec: DataflowSpec):
-                    return self._lookup(statement, spec, stats)
+                    return self._lookup(prefix, spec, stats)
 
                 for spec, outcome, key in self._iter_parallel(
                     source, workers, lookup, stats, pool=pool
@@ -754,8 +783,10 @@ class EvaluationEngine:
             else:
                 stream = self.iter_space(statement, stats=stats, **space_kwargs)
 
+            prefix = self._key_prefix(statement)
+
             def lookup(spec: DataflowSpec):
-                return self._lookup(statement, spec, stats)
+                return self._lookup(prefix, spec, stats)
 
             self._evaluate_parallel(stream, workers, lookup, emit, stats, pool=pool)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -45,6 +46,24 @@ class ArrayConfig:
     freq_mhz: float = 320.0
     onchip_bw_gbps: float = 32.0
     dtype_bytes: int = 2  # INT16 / FP16 datapath
+
+    def __post_init__(self) -> None:
+        # validated at construction, so a bad config from any source (a
+        # request body, the CLI) fails here rather than deep in a model
+        for name in ("rows", "cols", "dtype_bytes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"ArrayConfig.{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"ArrayConfig.{name} must be >= 1, got {value}")
+        for name in ("freq_mhz", "onchip_bw_gbps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"ArrayConfig.{name} must be a number, got {value!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"ArrayConfig.{name} must be finite and > 0, got {value}"
+                )
 
     @property
     def pes(self) -> int:

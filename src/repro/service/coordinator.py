@@ -1169,8 +1169,9 @@ class SweepCoordinator:
         statement = item.statement
         # (spec, memo-hit outcome or None, cache put-key or None), in order
         probed: list[tuple] = []
+        prefix = engine._key_prefix(statement)
         for spec in engine.iter_space(statement, stats=stats, **options):
-            outcome, key = engine._lookup(statement, spec, stats)
+            outcome, key = engine._lookup(prefix, spec, stats)
             probed.append((spec, outcome, key))
 
         requests: list[DesignRequest] = []

@@ -1,5 +1,6 @@
 """MemoCache under concurrency and torn/foreign shard files."""
 
+import io
 import json
 import threading
 
@@ -107,6 +108,33 @@ class TestTornShards:
         dst = MemoCache()
         assert dst.merge_from(tmp_path / "src.json")["api"] == 1
         assert dst.get("api", "k") == {"v": 1}
+
+
+class TestFlushBytes:
+    def test_file_is_the_compact_json_of_every_section(self, tmp_path):
+        path = tmp_path / "memo.json"
+        cache = MemoCache(path)
+        cache.put("points", "ok", ["ok", 0.5, 1234.0, 0.1 + 0.2, 17.0])
+        cache.put("points", "nan", ["ok", float("nan"), float("inf"), -0.0, 1e-300])
+        cache.put("points", "fail", ["fail", "perf", "ValueError: tile ≥ 16×16 — Ω, ü"])
+        stt = [[0, 0, 1], [0, 1, 0], [1, 1, 0]]
+        cache.put("spaces", "('gemm', 1)", [[["m", "n", "k"], stt], [["k", "m", "n"], stt]])
+        cache.put("names", "('gemm', 'MNK-SST')", [["m", "n", "k"], stt])
+        cache.put("api", "key", {"ok": False, "failure_reason": "naïve"})
+        cache.flush()
+
+        data = cache.dump()
+        raw = path.read_bytes()
+        assert raw == json.dumps(data, separators=(",", ":")).encode()
+        # the bytes the streaming encoder (json.dump) writes
+        stream = io.StringIO()
+        json.dump(data, stream, separators=(",", ":"))
+        assert raw == stream.getvalue().encode()
+        assert raw.isascii()
+
+        reloaded = MemoCache(path)
+        assert json.dumps(reloaded.dump()) == json.dumps(data)
+        assert reloaded.stats() == {**cache.stats(), "hits": 0, "misses": 0}
 
 
 class TestEngineAutoflush:

@@ -30,6 +30,30 @@ class TestArrayConfig:
         assert cfg.bytes_per_cycle == 100.0
         assert cfg.elements_per_cycle == 50.0
 
+    def test_valid_fields_are_accepted(self):
+        cfg = ArrayConfig(rows=1, cols=3, freq_mhz=100, onchip_bw_gbps=0.5, dtype_bytes=1)
+        assert cfg.elements_per_cycle == 5.0
+
+    @pytest.mark.parametrize(
+        "field, exc",
+        [
+            ({"rows": 0}, ValueError),
+            ({"cols": -4}, ValueError),
+            ({"dtype_bytes": 0}, ValueError),
+            ({"freq_mhz": 0}, ValueError),
+            ({"onchip_bw_gbps": 0.0}, ValueError),
+            ({"freq_mhz": float("nan")}, ValueError),
+            ({"onchip_bw_gbps": float("inf")}, ValueError),
+            ({"rows": True}, TypeError),
+            ({"dtype_bytes": 2.0}, TypeError),
+            ({"freq_mhz": True}, TypeError),
+            ({"onchip_bw_gbps": "32"}, TypeError),
+        ],
+    )
+    def test_bad_fields_raise_at_construction(self, field, exc):
+        with pytest.raises(exc, match=next(iter(field))):
+            ArrayConfig(**field)
+
 
 class TestBasicInvariants:
     def test_normalized_at_most_one(self, model, gemm):

@@ -31,6 +31,7 @@ from repro.service import RemoteSession, ServiceThread, SweepCoordinator
 
 from .faultlib import (
     ServerProcess,
+    journaled_entries,
     journaled_rows,
     journaled_terminal,
     wait_for,
@@ -97,8 +98,10 @@ class TestCrashRestart:
             if kill_point == "after_submit":
                 # header on disk, no rows yet: the rebuilt job re-enters the
                 # queue and runs from scratch under its original id
+                # (the file appears before its header line is written, so a
+                # kill on the file alone can land before the header)
                 assert wait_for(
-                    lambda: journal.exists() and any(journal.iterdir())
+                    lambda: any(e.get("journal") == "job" for e in journaled_entries(journal))
                 ), "journal header never reached the disk"
             elif kill_point == "mid_stream":
                 assert wait_for(lambda: journaled_rows(journal) >= 5), (

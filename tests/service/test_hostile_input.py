@@ -191,3 +191,46 @@ class TestJobCap:
         with pytest.raises(wire.PayloadTooLargeError):
             wire.bounded_body(str(wire.MAX_BODY_BYTES + 1))
         assert issubclass(wire.PayloadTooLargeError, ValueError)
+
+
+class TestArrayFieldRanges:
+    """Array fields out of range are a 400 at decoding, not a 500 in a model."""
+
+    @staticmethod
+    def _body(**array):
+        return json.dumps(
+            {
+                "workload": "gemm",
+                "dataflow": "MNK-SST",
+                "backend": "perf",
+                "extents": {"m": 8, "n": 8, "k": 8},
+                "array": {"rows": 2, "cols": 2, **array},
+                "schema_version": 1,
+            }
+        ).encode()
+
+    def test_a_valid_array_is_200(self, service):
+        status, raw = _post(service, "/v1/evaluate", self._body(freq_mhz=320))
+        assert status == 200, raw
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"freq_mhz": 0},
+            {"dtype_bytes": 0},
+            {"onchip_bw_gbps": 0},
+            {"rows": True},
+            {"cols": 0},
+            {"rows": 2.0},
+            {"freq_mhz": -320.0},
+            {"onchip_bw_gbps": False},
+            {"freq_mhz": "fast"},
+        ],
+        ids=lambda field: "-".join(f"{k}={v!r}" for k, v in field.items()),
+    )
+    def test_out_of_range_field_is_400(self, service, field):
+        status, raw = _post(service, "/v1/evaluate", self._body(**field))
+        assert status == 400, (field, status, raw)
+        payload = json.loads(raw)
+        assert payload["error_type"] in ("TypeError", "ValueError")
+        assert next(iter(field)) in payload["error"]
