@@ -1,7 +1,6 @@
-"""Coordinated-sweep scaling: fold identity, pipelined latency, poll traffic,
-crash recovery.
+"""Coordinated-sweep scaling: fold identity, pipelined latency, crash recovery.
 
-Four experiments:
+Three experiments:
 
 **Fold identity** (``test_coordinated_sweep_matches_local``) runs the same
 workload x config sweep four ways —
@@ -24,34 +23,13 @@ share the same cores):
 - the coordinator's folded memo cache warms a *local* session to zero
   evaluations — the distributed sweep's cache is as good as a local one.
 
-**Pipelined latency** (``test_pipelined_folding_beats_cursor_polling``) races
-the asyncio push-fold dispatch loop against a faithful reconstruction of the
-fixed-cadence cursor-poll loop it replaced, over the same three-server fleet
-and the same shard grid.  The asserted bars are the two latencies the rewrite
-exists to cut — time-to-first-folded-row (the poll loop cannot see a row
-before its first cadence boundary; the long-poll stream pushes it the moment
-it exists) and end-to-end wall clock (the poll loop pays a cadence lag at
-every shard completion before the lane resubmits; the event-driven lanes
-pay none) — plus fold identity: the pipelined fleet's results must stay
-bit-identical to ``LocalSession.sweep()``.  Each loop runs twice,
-alternating, and the per-path minimum is compared, which damps the
-shared-box noise CI runs swim in.  The measured numbers land in
+**Pipelined latency** (``test_pipelined_folding_latency``) times the asyncio
+push-fold dispatch loop over a three-server fleet of warm-memo subprocesses:
+time-to-first-folded-row (the ``/rows`` long-poll pushes a row the moment it
+exists) and end-to-end wall clock, min of several rounds to damp shared-box
+noise.  The asserted bar is fold identity: every round's results must stay
+bit-identical to ``LocalSession.sweep()``.  The measured numbers land in
 ``BENCH_coordinator.json`` at the repo root for the CI artifact upload.
-
-**Poll traffic** (``test_streaming_vs_snapshot_poll_payload``) measures the
-wire cost of watching a running job's per-design rows, streaming vs
-snapshot:
-
-- **snapshot**: every poll asks ``?since=0`` — the full row list so far —
-  which is what a client without a cursor has to do for live rows.
-  Cumulative payload grows ~quadratically with sweep length (each of ~T
-  polls re-ships O(rows-so-far)).
-- **streaming**: every poll advances the ``?since=`` cursor, so each row
-  crosses the wire exactly once and cumulative payload stays linear.
-
-The asserted bars: identical row logs both ways, each row shipped exactly
-once on the streaming path, and the snapshot/streaming byte ratio *growing*
-with sweep length — the superlinear gap incremental streaming closes.
 
 **Crash recovery** (``test_journal_resume_beats_shard_rerun_after_crash``)
 kills and restarts a single-server fleet mid-sweep under both recovery
@@ -65,7 +43,7 @@ the uninterrupted count.  The asserted bar is the reason journals exist:
 resume repeats **zero** evaluations while re-run repeats every pre-crash
 row; wall clock per transport is recorded alongside (not asserted — a
 ~25-design replay gap drowns in shared-box noise).  Both this experiment
-and the latency race merge their numbers into ``BENCH_coordinator.json``.
+and the latency run merge their numbers into ``BENCH_coordinator.json``.
 
 Run:  pytest benchmarks/bench_coordinator_sweep.py
 """
@@ -78,7 +56,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from pathlib import Path
 
 from bench_util import print_table
@@ -92,7 +69,6 @@ from repro.service import (
     ServiceThread,
     SweepCoordinator,
 )
-from repro.service import wire
 
 ARRAY = ArrayConfig(rows=8, cols=8)
 WORKLOADS = ["gemm", "batched_gemv"]
@@ -229,66 +205,12 @@ def _start_server(cache: Path) -> tuple[subprocess.Popen, str]:
     return proc, match.group(0)
 
 
-def _cursor_poll_sweep(sessions, workloads, configs, options, *, poll_interval):
-    """The pre-pipelining dispatch loop, reconstructed faithfully.
+def test_pipelined_folding_latency(tmp_path):
+    """Time-to-first-row and end-to-end of the push-fold loop, fold-exact.
 
-    One thread, fixed cadence: a serial healthz probe round, then rounds of
-    (top up one in-flight job per idle server) -> ``sleep(poll_interval)``
-    -> (serial ``since=``-cursor poll per open job), decoding every row with
-    :func:`wire.row_to_point` — the same per-row fold work the pipelined
-    folder does, so the race measures dispatch latency, not decode cost.
-
-    Returns ``(time_to_first_row, elapsed, rows_decoded)``, clocks started
-    before the probe round (both loops pay their own startup).
-    """
-    t0 = time.perf_counter()
-    for session in sessions:
-        session._call("GET", "/v1/healthz")  # serial round-trip per server
-    pending = deque(
-        (wire.instantiate_statement(wire.statement_payload(w)),
-         wire.statement_payload(w), config)
-        for config in configs
-        for w in workloads
-    )
-    open_jobs = {}  # session -> [job_id, cursor, statement]
-    first_row = None
-    rows_decoded = 0
-    while pending or open_jobs:
-        for session in sessions:
-            if session not in open_jobs and pending:
-                statement, payload, config = pending.popleft()
-                job = session.submit_job(
-                    [dict(payload)],
-                    configs=[config],
-                    stream_rows=True,
-                    **options,
-                )
-                open_jobs[session] = [job["id"], 0, statement]
-        time.sleep(poll_interval)
-        for session, slot in list(open_jobs.items()):
-            job_id, cursor, statement = slot
-            snapshot = session.poll_job(job_id, since=cursor)
-            for row in snapshot["rows"]:
-                wire.row_to_point(row, statement)
-                rows_decoded += 1
-                if first_row is None:
-                    first_row = time.perf_counter() - t0
-            slot[1] = snapshot["rows_total"]
-            if snapshot["status"] in ("done", "failed", "cancelled"):
-                assert snapshot["status"] == "done", snapshot
-                del open_jobs[session]
-    return first_row, time.perf_counter() - t0, rows_decoded
-
-
-def test_pipelined_folding_beats_cursor_polling(tmp_path):
-    """The push-fold loop must beat the cadence loop it replaced, twice over.
-
-    Three servers, twelve one-item shards (four dispatch waves per lane): the
-    poll loop pays its cadence at first-row discovery and at every shard
-    completion, so the deeper the wave count the more lag it compounds; the
-    pipelined loop's long-poll streams and event-driven lanes pay neither.
-    Alternating rounds, min per path, both latency bars strict — and the
-    pipelined fold stays bit-identical to local.
+    Three servers, twelve one-item shards (four dispatch waves per lane),
+    min of ``BENCH_ROUNDS`` rounds per number; every round's fold stays
+    bit-identical to local.
     """
     configs = [
         ARRAY,
@@ -299,20 +221,16 @@ def test_pipelined_folding_beats_cursor_polling(tmp_path):
         ArrayConfig(rows=3, cols=3),
     ]
     # pre-warm one memo cache and hand every server its own copy: with
-    # evaluation memoized the race isolates the dispatch loops' own latency —
-    # which is the thing this PR changed — instead of measuring compute both
-    # loops pay identically.  The servers are real subprocesses (as deployed,
-    # and as the smoke test runs them): in-process ServiceThreads would share
-    # the benchmark's GIL, which hides server work inside the poll loop's
-    # sleeps and charges it to the pipelined loop's folding instead.
+    # evaluation memoized the run isolates the dispatch loop's own latency
+    # instead of compute.  The servers are real subprocesses (as deployed,
+    # and as the smoke test runs them): in-process ServiceThreads would
+    # share the benchmark's GIL and charge server work to the folding.
     warm_path = tmp_path / "memo.json"
     local = LocalSession(ARRAY, cache=str(warm_path)).sweep(
         WORKLOADS, configs, **SWEEP_KW
     )
     points = sum(len(r) + len(r.failures) for r in local)
-    options = wire.engine_options({"options": SWEEP_KW})
-    # min-of-N damps shared-box noise; 10 alternating rounds keeps the two
-    # latency bars stable on a single-core runner (3 is visibly flaky there)
+    # min-of-N damps shared-box noise
     rounds = int(os.environ.get("BENCH_ROUNDS", "10"))
 
     procs = []
@@ -331,29 +249,15 @@ def test_pipelined_folding_beats_cursor_polling(tmp_path):
             first_fold["t"] = time.perf_counter() - first_fold["t0"]
 
     coordinator = SweepCoordinator(urls, array=ARRAY, max_inflight=1, on_row=on_row)
-    sessions = [RemoteSession(url) for url in urls]
     try:
-        # one untimed lap of each loop first: server processes page in their
-        # code paths on the first sweep they serve, and whichever loop runs
-        # first would eat that cost
-        _cursor_poll_sweep(
-            sessions, WORKLOADS, configs, options,
-            poll_interval=coordinator.poll_interval,
-        )
+        # one untimed lap first: server processes page in their code paths
+        # on the first sweep they serve
         first_fold["t0"] = time.perf_counter()
         coordinator.sweep(WORKLOADS, configs, **SWEEP_KW)
 
-        pipe_ttfr, pipe_e2e, poll_ttfr, poll_e2e = [], [], [], []
+        pipe_ttfr, pipe_e2e = [], []
         digests = []
-        for _ in range(rounds):  # alternate to share box noise fairly
-            ttfr, elapsed, rows = _cursor_poll_sweep(
-                sessions, WORKLOADS, configs, options,
-                poll_interval=coordinator.poll_interval,
-            )
-            assert rows == points
-            poll_ttfr.append(ttfr)
-            poll_e2e.append(elapsed)
-
+        for _ in range(rounds):
             first_fold.clear()
             first_fold["t0"] = time.perf_counter()
             results, elapsed = _timed(
@@ -365,45 +269,29 @@ def test_pipelined_folding_beats_cursor_polling(tmp_path):
             pipe_e2e.append(elapsed)
     finally:
         coordinator.close()
-        for session in sessions:
-            session.close()
         for proc in procs:
             proc.kill()
             proc.wait(timeout=30)
 
     print_table(
-        f"pipelined push-fold vs cursor polling: 3 servers, "
+        f"pipelined push-fold: 3 servers, "
         f"{len(WORKLOADS) * len(configs)} shards, {points} designs, "
         f"min of {rounds}",
         ["dispatch loop", "first row s", "end-to-end s"],
-        [
-            ["cursor poll", f"{min(poll_ttfr):.3f}", f"{min(poll_e2e):.2f}"],
-            ["pipelined", f"{min(pipe_ttfr):.3f}", f"{min(pipe_e2e):.2f}"],
-        ],
+        [["pipelined", f"{min(pipe_ttfr):.3f}", f"{min(pipe_e2e):.2f}"]],
     )
 
     # fold identity: the pipelined fleet is invisible in the results
     assert all(d == _digest(local) for d in digests)
-    # the two latency bars the rewrite exists to cut — both strict
-    assert min(pipe_ttfr) < min(poll_ttfr), (pipe_ttfr, poll_ttfr)
-    assert min(pipe_e2e) < min(poll_e2e), (pipe_e2e, poll_e2e)
 
     artifact = _merge_artifact({
         "fleet": len(urls),
         "shards": len(WORKLOADS) * len(configs),
         "designs": points,
         "rounds": rounds,
-        "cursor_poll": {
-            "time_to_first_row_s": min(poll_ttfr),
-            "end_to_end_s": min(poll_e2e),
-        },
         "pipelined": {
             "time_to_first_row_s": min(pipe_ttfr),
             "end_to_end_s": min(pipe_e2e),
-        },
-        "speedup": {
-            "time_to_first_row": min(poll_ttfr) / min(pipe_ttfr),
-            "end_to_end": min(poll_e2e) / min(pipe_e2e),
         },
     })
     print(f"  wrote {artifact}")
@@ -415,7 +303,8 @@ def _crash_recovery_sweep(tmp_path, *, journal, kill_at=24):
     A real ``repro serve`` subprocess (the fault-injection harness from
     ``tests/service/faultlib.py`` — an in-process stop is not a crash: the
     evaluator thread survives the loop and quietly finishes the job).  A
-    watcher thread polls the running job until ``kill_at`` rows exist,
+    watcher thread tails the job's ``/rows`` stream until ``kill_at`` rows
+    exist,
     SIGKILLs the server and restarts it on the same port, with the same
     journal directory when journaled.  The coordinator rides the outage via
     ``restart_grace`` either way — what differs is the recovery transport:
@@ -434,14 +323,16 @@ def _crash_recovery_sweep(tmp_path, *, journal, kill_at=24):
 
     def crash_and_restart():
         watcher = RemoteSession(server.url, retries=30, backoff=0.1)
-
-        def rows_visible():
-            jobs = watcher.jobs()
-            if not jobs:
-                return False
-            return watcher.poll_job(jobs[0]["id"], since=0)["rows_total"] >= kill_at
-
-        armed = wait_for(rows_visible)
+        armed = wait_for(lambda: bool(watcher.jobs()))
+        if armed:
+            # tail the row stream from cursor kill_at - 1: the server pushes
+            # the kill_at-th row the moment it exists (an idle stream waits
+            # on the runner's doorbell, not on the drain pace)
+            job_id = watcher.jobs()[0]["id"]
+            armed = any(
+                frame.get("seq", 0) >= kill_at
+                for frame in watcher.iter_job_rows(job_id, since=kill_at - 1)
+            )
         if armed and journal:
             # kill with a journaled prefix to adopt, not just produced rows
             armed = wait_for(lambda: journaled_rows(journal_dir) >= 8)
@@ -523,86 +414,3 @@ def test_journal_resume_beats_shard_rerun_after_crash(tmp_path):
 
     artifact = _merge_artifact({"crash_recovery": out})
     print(f"  wrote {artifact}")
-
-
-def _watch_job(remote, workloads, *, snapshot_mode, poll_interval=0.02):
-    """Submit one stream_rows job and poll it to completion, tallying bytes.
-
-    ``snapshot_mode=True`` polls ``since=0`` every round (the full row list
-    so far — what a cursor-less client must do for live rows);
-    ``snapshot_mode=False`` advances the cursor so each poll carries only
-    new rows.  Returns (rows_seen, polls, payload_bytes).
-    """
-    job = remote.submit_job(
-        ["gemm"] * workloads,
-        extents={"m": 32, "n": 32, "k": 32},
-        one_d_only=True,
-        stream_rows=True,
-    )
-    cursor = 0
-    rows_seen = 0
-    polls = 0
-    payload_bytes = 0
-    while True:
-        snapshot = remote.poll_job(
-            job["id"], since=0 if snapshot_mode else cursor
-        )
-        polls += 1
-        payload_bytes += len(json.dumps(snapshot).encode())
-        if snapshot_mode:
-            rows_seen = snapshot["rows_total"]
-        else:
-            rows_seen += len(snapshot["rows"])
-        cursor = snapshot["rows_total"]
-        if snapshot["status"] in ("done", "failed", "cancelled"):
-            assert snapshot["status"] == "done", snapshot
-            return rows_seen, polls, payload_bytes
-        time.sleep(poll_interval)
-
-
-def test_streaming_vs_snapshot_poll_payload():
-    """Cursor polls ship each row once; since=0 polls re-ship the world.
-
-    The byte ratio between the two must *grow* with sweep length — the
-    snapshot path is superlinear in rows while the streaming path is linear.
-    """
-    lengths = [1, 3]
-    table = []
-    ratios = []
-    # no memo cache: every job is equally cold, so both modes watch the
-    # same amount of work and the poll schedules are comparable
-    with ServiceThread(LocalSession(ARRAY)) as node:
-        remote = RemoteSession(node.url)
-        for length in lengths:
-            stream_rows, stream_polls, stream_bytes = _watch_job(
-                remote, length, snapshot_mode=False
-            )
-            snap_rows, snap_polls, snap_bytes = _watch_job(
-                remote, length, snapshot_mode=True
-            )
-            assert stream_rows == snap_rows > 0  # both watched every design
-            ratio = snap_bytes / stream_bytes
-            ratios.append(ratio)
-            table.append(
-                [
-                    f"{length} workload(s)",
-                    f"{stream_rows}",
-                    f"{stream_polls} / {snap_polls}",
-                    f"{stream_bytes:,}",
-                    f"{snap_bytes:,}",
-                    f"{ratio:.1f}x",
-                ]
-            )
-        remote.close()
-
-    print_table(
-        "job-row polling: cursor (since=<seq>) vs full snapshot (since=0)",
-        ["sweep length", "rows", "polls s/f", "stream B", "snapshot B", "ratio"],
-        table,
-    )
-
-    # the snapshot path re-ships rows: strictly more bytes at every length
-    assert all(r > 1.0 for r in ratios), ratios
-    # and the gap widens superlinearly with sweep length: tripling the work
-    # must grow the byte *ratio*, not just the byte counts
-    assert ratios[-1] > ratios[0], ratios

@@ -179,7 +179,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_enumerate(args) -> int:
     from repro.core.enumerate import enumerate_designs
-    from repro.explore.dse import ONE_D_TYPES
+    from repro.explore.engine import ONE_D_TYPES
 
     stmt = _statement(args)
     space = enumerate_designs(

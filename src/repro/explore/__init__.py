@@ -6,14 +6,14 @@ streaming pipeline.  :class:`repro.explore.engine.EvaluationEngine` owns the
 full flow — lazy enumeration (:mod:`repro.core.enumerate`), composable
 pruning, serial or process-pool evaluation through the performance and cost
 models with a two-level memo cache, structured failure reporting, and
-multi-workload sweeps — while :func:`repro.explore.dse.explore` remains the
-simple one-call facade and :func:`repro.explore.pareto.pareto_front`
-extracts the interesting frontier.
+multi-workload sweeps — while :func:`repro.explore.pareto.pareto_front`
+extracts the interesting frontier.  The one-call facade is
+``repro.api.Session(...).explore(...)``.
 """
 
-from repro.explore.dse import DesignPoint, explore
 from repro.explore.engine import (
     DesignFailure,
+    DesignPoint,
     EvaluationEngine,
     EvaluationResult,
     EvaluationStats,
@@ -28,6 +28,5 @@ __all__ = [
     "EvaluationResult",
     "EvaluationStats",
     "MemoCache",
-    "explore",
     "pareto_front",
 ]

@@ -1,9 +1,9 @@
 """Unified streaming evaluation engine for design-space exploration.
 
 This module owns the full **enumerate -> prune -> evaluate -> Pareto**
-pipeline that every consumer (the legacy :func:`repro.explore.dse.explore`
-wrapper, the ``repro.cli explore`` subcommand, the examples and the paper
-benchmarks) runs through:
+pipeline that every consumer (:meth:`repro.api.Session.explore`, the
+``repro.cli explore`` subcommand, the examples and the paper benchmarks)
+runs through:
 
 1. **Enumerate** — :func:`repro.core.enumerate.iter_designs` streams the STT
    space lazily; the space is never materialized up front.
@@ -30,7 +30,6 @@ import dataclasses
 import json
 import os
 import threading
-import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -994,14 +993,4 @@ class EvaluationEngine:
             chunk_size=self.chunk_size,
             cache=self.cache,
             autoflush=self.autoflush,
-        )
-
-
-def explore_warning(result: EvaluationResult, *, stacklevel: int = 3) -> None:
-    """Emit the legacy-wrapper warning for skipped designs (if any)."""
-    if result.failures:
-        warnings.warn(
-            f"explore({result.workload}): {result.failure_report()}",
-            RuntimeWarning,
-            stacklevel=stacklevel,
         )

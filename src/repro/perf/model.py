@@ -164,27 +164,6 @@ class PerfModel:
             },
         )
 
-    def evaluate_named(self, statement, name: str) -> PerfResult:
-        """Deprecated second entry point; use the unified API instead.
-
-        Named-dataflow resolution now lives in one place — the ``perf``
-        backend of :mod:`repro.api` (``Session.evaluate(workload, name)``)
-        — so the model exposes a single ``evaluate(spec)`` signature like
-        every other backend.
-        """
-        import warnings
-
-        from repro.core.naming import spec_from_name
-
-        warnings.warn(
-            "PerfModel.evaluate_named() is deprecated; use "
-            "repro.api.Session.evaluate(workload, name, backend='perf') or "
-            "PerfModel.evaluate(naming.spec_from_name(statement, name))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.evaluate(spec_from_name(statement, name))
-
     # ------------------------------------------------------------------
     def _elements_per_cycle(
         self, spec: DataflowSpec, plan: StagePlan, active_pes: int

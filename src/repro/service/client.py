@@ -159,12 +159,10 @@ class RemoteSession(SessionBase):
             wire.raise_remote_error(parsed, response.status)
         return parsed
 
-    def _stream(
-        self, path: str, payload: Any, method: str = "POST"
-    ) -> http.client.HTTPResponse:
-        """Open an NDJSON stream; the caller must read it to the end."""
+    def _stream(self, path: str, payload: Any) -> http.client.HTTPResponse:
+        """POST and open an NDJSON stream; the caller must read it to the end."""
         self._handshake()
-        response = self._roundtrip(method, path, payload)
+        response = self._roundtrip("POST", path, payload)
         if response.status >= 400:
             parsed = json.loads(response.read() or b"{}")
             wire.raise_remote_error(parsed, response.status)
@@ -346,7 +344,6 @@ class RemoteSession(SessionBase):
         *,
         configs: Sequence[ArrayConfig] | None = None,
         extents: Mapping[str, int] | None = None,
-        include_rows: bool = False,
         stream_rows: bool = False,
         submit_key: str | None = None,
         **engine_options,
@@ -358,10 +355,7 @@ class RemoteSession(SessionBase):
         per-workload problem sizes (how a coordinator packs several sweep
         items into one job).  ``stream_rows=True`` asks the server to keep
         every evaluated design in the job's incremental row log, served by
-        :meth:`poll_job` ``since=`` cursors and :meth:`iter_job_rows` *while
-        the job runs*; ``include_rows=True`` additionally embeds the full row
-        list in each finished record (one self-contained terminal snapshot,
-        at the cost of re-shipping every row).  ``submit_key`` makes the
+        :meth:`iter_job_rows` *while the job runs*.  ``submit_key`` makes the
         submit idempotent: a retry that lost the response (the one POST on
         this surface that is *not* naturally idempotent) gets the original
         job back instead of enqueueing a duplicate.  A full or disabled job
@@ -376,8 +370,6 @@ class RemoteSession(SessionBase):
             payload["configs"] = [wire.array_to_dict(c) for c in configs]
         if extents:
             payload["extents"] = dict(extents)
-        if include_rows:
-            payload["include_rows"] = True
         if stream_rows:
             payload["stream_rows"] = True
         if submit_key is not None:
@@ -390,22 +382,6 @@ class RemoteSession(SessionBase):
         """Poll one job (status, and results once done)."""
         return self._call("GET", f"/v1/jobs/{job_id}")["job"]
 
-    def poll_job(self, job_id: str, *, since: int | None = None) -> dict[str, Any]:
-        """Poll one job, optionally paging its row log with a ``since`` cursor.
-
-        With ``since=N`` the snapshot carries only the rows produced after
-        cursor ``N`` (``rows``), plus ``rows_total`` — the cursor to pass
-        next time.  A cursor the server does not recognize as a prefix of the
-        job's log (``since`` beyond the end — e.g. after the job was re-run)
-        comes back as the **full** row list with ``cursor_reset: true``: drop
-        the rows folded so far and rebuild from this snapshot.  Requires the
-        job to have been submitted with ``stream_rows`` or ``include_rows``.
-        """
-        path = f"/v1/jobs/{job_id}"
-        if since is not None:
-            path += f"?since={int(since)}"
-        return self._call("GET", path)["job"]
-
     def iter_job_rows(
         self,
         job_id: str,
@@ -417,98 +393,33 @@ class RemoteSession(SessionBase):
     ):
         """Stream a job's rows live over ``GET /v1/jobs/<id>/rows`` (NDJSON).
 
-        Yields every framing and data row as a dict, in wire order: one
-        ``{"row": "start", ...}`` (with ``cursor_reset`` when the ``since``
-        cursor did not survive), then each ``point``/``failure`` row — with
-        its job-global ``seq`` and ``item`` index — *as the server produces
-        it* (long-poll: the stream stays open while the job runs), then one
-        ``{"row": "end", "status": ..., "rows_total": ...}`` when the job
-        reaches a terminal state.  A stale cursor detected only once the job
-        ends travels as a mid-stream ``{"row": "reset"}`` frame: discard
-        rows seen so far, the full log replays after it.  The CLI front door
-        is ``repro client tail-job``.
-
-        A long-poll that dies mid-stream (EOF before the end frame, reset
-        socket, half-written line) is resumed transparently: the client
-        reconnects with ``since=<last seen seq>`` so no row is dropped or
-        duplicated, up to ``retries`` consecutive drops without progress
-        (then :class:`ConnectionError`).  ``reconnect=False`` restores
-        fail-fast behavior.  A resumed stream's extra ``start`` frame is
-        swallowed — unless it carries ``cursor_reset``, which surfaces as a
-        ``{"row": "reset"}`` frame like the mid-stream server-sent one.
-
-        ``keepalive=N`` asks the server to emit ``{"row": "keepalive"}``
-        heartbeat frames after ~N idle seconds, so a slow job and a dead
-        connection are distinguishable; they are swallowed (but count as
-        progress, resetting the drop budget) unless ``keepalives=True``.
+        A blocking bridge over :meth:`AsyncRemoteSession.iter_job_rows`, the
+        one reader of the row stream (frames, resume and keepalives are
+        documented there): it steps the async reader on a private event
+        loop, so it must not be called from inside a running loop.  The CLI
+        front door is ``repro client tail-job``.
         """
-        cursor = int(since)
-        drops = 0
-        started = False
-        while True:
-            path = f"/v1/jobs/{job_id}/rows?since={cursor}"
-            if keepalive is not None:
-                path += f"&keepalive={float(keepalive):g}"
-            try:
-                response = self._stream(path, None, method="GET")
-                resumed = started
-                while True:
-                    line = response.readline()
-                    if not line:
-                        raise ConnectionError(
-                            f"row stream for job {job_id} ended without an end frame"
-                        )
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        # a half-written line is a connection death, not data
-                        raise ConnectionError(
-                            f"row stream for job {job_id} died mid-line"
-                        ) from exc
-                    kind = row.get("row")
-                    if kind == "start":
-                        if not resumed:
-                            started = True
-                            yield row
-                        elif row.get("cursor_reset"):
-                            cursor = 0
-                            yield {"row": "reset"}
-                        continue
-                    if kind == "reset":
-                        cursor = 0
-                        yield row
-                        continue
-                    if kind == "keepalive":
-                        drops = 0
-                        if keepalives:
-                            yield row
-                        continue
-                    if kind == "end":
-                        # drain the terminating chunk: an un-drained stream
-                        # leaves the keep-alive socket dirty, and the *next*
-                        # request on it fails mid-response and retries — for
-                        # POST /v1/jobs that submits a duplicate job
-                        response.read()
-                        yield row
-                        return
-                    if "seq" in row:
-                        cursor = int(row["seq"])
-                    drops = 0
-                    yield row
-            except GeneratorExit:
-                # consumer abandoned the stream mid-poll: the socket holds
-                # an unread tail, reset it rather than recycle it dirty
-                self._reset_connection()
-                raise
-            except self._RETRYABLE as exc:
-                self._reset_connection()
-                drops += 1
-                if not reconnect or drops > self.retries:
-                    raise ConnectionError(
-                        f"row stream for job {job_id} on {self.url} dropped "
-                        f"{drops} time(s) without progress: {exc}"
-                    ) from exc
-                time.sleep(self.backoff * drops * random.uniform(0.5, 1.5))
+        self._handshake()
+        rows = AsyncRemoteSession(
+            self.url, timeout=self.timeout, retries=self.retries, backoff=self.backoff
+        ).iter_job_rows(
+            job_id,
+            since=since,
+            keepalive=keepalive,
+            keepalives=keepalives,
+            reconnect=reconnect,
+        )
+        loop = asyncio.new_event_loop()
+        try:
+            while True:
+                try:
+                    row = loop.run_until_complete(anext(rows))
+                except StopAsyncIteration:
+                    return
+                yield row
+        finally:
+            loop.run_until_complete(rows.aclose())
+            loop.close()
 
     def job_rows_async(
         self,
@@ -519,16 +430,14 @@ class RemoteSession(SessionBase):
         idle_timeout: float | None = None,
         keepalives: bool = False,
     ) -> AsyncIterator[dict[str, Any]]:
-        """:meth:`iter_job_rows` as an async iterator on a dedicated connection.
+        """:meth:`AsyncRemoteSession.iter_job_rows` with this session's transport.
 
         This is the pipelined coordinator's consumer path: each job's row
-        stream gets its own :class:`AsyncRemoteSession` transport (so many
+        stream gets its own :class:`AsyncRemoteSession` connection (so many
         streams multiplex on one event loop without touching this session's
-        persistent sync connection), with the same frame discipline and
-        reconnect-with-``since`` resume as the sync iterator, plus an
-        ``idle_timeout`` that treats a silent connection as dead — pair it
-        with ``keepalive`` so a slow job keeps proving liveness.  Tests
-        override this method to inject stream faults.
+        persistent sync connection).  Pair ``idle_timeout`` with
+        ``keepalive`` so a slow job keeps proving liveness.  Tests override
+        this method to inject stream faults.
         """
         return AsyncRemoteSession(
             self.url, timeout=self.timeout, retries=self.retries, backoff=self.backoff
@@ -570,8 +479,9 @@ class AsyncRemoteSession:
     Only the surfaces the coordinator needs are async today: :meth:`call`
     (JSON round-trip, e.g. ``/v1/healthz``) and :meth:`iter_job_rows`
     (NDJSON long-poll with reconnect-with-``since`` resume, keepalive
-    awareness and an idle timeout).  Everything else stays on the sync
-    session.
+    awareness and an idle timeout) — the only reader of the row stream;
+    :meth:`RemoteSession.iter_job_rows` drives it from blocking code.
+    Everything else stays on the sync session.
     """
 
     def __init__(
@@ -659,7 +569,10 @@ class AsyncRemoteSession:
         size_line = await reader.readline()
         if not size_line:
             raise ConnectionError("connection closed mid-stream")
-        size = int(size_line.strip().split(b";")[0] or b"0", 16)
+        try:
+            size = int(size_line.strip().split(b";")[0] or b"0", 16)
+        except ValueError as exc:
+            raise ConnectionError(f"malformed chunk size {size_line[:40]!r}") from exc
         if size == 0:
             await reader.readline()  # trailing CRLF
             return None
@@ -711,13 +624,36 @@ class AsyncRemoteSession:
         keepalives: bool = False,
         reconnect: bool = True,
     ) -> AsyncIterator[dict[str, Any]]:
-        """Async :meth:`RemoteSession.iter_job_rows`: same frames, same resume.
+        """Stream a job's rows live over ``GET /v1/jobs/<id>/rows`` (NDJSON).
 
-        ``idle_timeout`` bounds the silence between frames; a stream that is
-        silent longer counts as a drop (reconnect with the last seen
-        ``seq``), so with server ``keepalive`` heartbeats below the timeout,
-        a slow job stays connected while a dead server is detected in one
-        timeout instead of hanging the consumer.
+        Yields every framing and data row as a dict, in wire order: one
+        ``{"row": "start", ...}`` (with ``cursor_reset`` when the ``since``
+        cursor did not survive), then each ``point``/``failure`` row — with
+        its job-global ``seq`` and ``item`` index — *as the server produces
+        it* (long-poll: the stream stays open while the job runs), then one
+        ``{"row": "end", "status": ..., "rows_total": ..., "job": ...}`` when
+        the job reaches a terminal state.  A stale cursor detected only once
+        the job ends travels as a mid-stream ``{"row": "reset"}`` frame:
+        discard rows seen so far, the full log replays after it.
+
+        A long-poll that dies mid-stream (EOF before the end frame, reset
+        socket, half-written or malformed line) is resumed transparently:
+        the reader reconnects with ``since=<last seen seq>`` so no row is
+        dropped or duplicated, up to ``retries`` consecutive drops without
+        progress (then :class:`ConnectionError`), sleeping ``backoff *
+        drops`` between attempts.  ``reconnect=False`` fails fast instead.
+        A resumed stream's extra ``start`` frame is swallowed — unless it
+        carries ``cursor_reset``, which surfaces as a ``{"row": "reset"}``
+        frame like the mid-stream server-sent one.
+
+        ``keepalive=N`` asks the server to emit ``{"row": "keepalive"}``
+        heartbeat frames after ~N idle seconds; they are swallowed (but
+        count as progress, resetting the drop budget) unless
+        ``keepalives=True``.  ``idle_timeout`` bounds the silence between
+        frames; a stream that is silent longer counts as a drop, so with
+        server heartbeats below the timeout a slow job stays connected
+        while a dead server is detected in one timeout instead of hanging
+        the consumer.
         """
         cursor = int(since)
         drops = 0
@@ -746,7 +682,14 @@ class AsyncRemoteSession:
                         line, buf = buf.split(b"\n", 1)
                         if not line.strip():
                             continue
-                        row = json.loads(line)
+                        try:
+                            row = json.loads(line)
+                        except ValueError as exc:
+                            # a garbled line is a connection death, not data
+                            raise ConnectionError(
+                                f"row stream for job {job_id} sent a "
+                                f"malformed line: {line[:80]!r}"
+                            ) from exc
                         kind = row.get("row")
                         if kind == "start":
                             if not resumed:

@@ -31,10 +31,11 @@ How a sweep runs
    Every row crosses a bounded :class:`asyncio.Queue` into the *single*
    folder lane, which rebuilds real :class:`DesignPoint` objects in wire
    order — fold work overlaps evaluation across the whole fleet, yet stays
-   single-threaded and bit-identical to a local sweep.  The terminal poll
-   just closes the books (per-item stats) instead of re-shipping the
-   design list; a ``cursor_reset`` (the server no longer recognizes the
-   cursor) drops the shard's partial fold and rebuilds from the replay.
+   single-threaded and bit-identical to a local sweep.  The stream's
+   ``end`` frame embeds the job's terminal snapshot, which closes the books
+   (per-item stats) without a follow-up poll; a ``cursor_reset`` (the
+   server no longer recognizes the cursor) drops the shard's partial fold
+   and rebuilds from the replay.
 4. **Fallback** — a server that answers 503 (job queue full, or started
    with ``--max-jobs 0``) is not dead, it just has no job capacity: the
    shard's design space is enumerated coordinator-side and shipped as
@@ -156,7 +157,7 @@ class _Shard:
     items: list[_ShardItem]
     attempts: int = 0
     excluded: set[int] = field(default_factory=set)  # server indices
-    cursor: int = 0  # job-row seq already folded (the ?since= value)
+    cursor: int = 0  # job-row seq already folded (where /rows resumes)
     #: set by the folder once the shard's results are closed; queued events
     #: arriving after (or from a forfeited attempt — see the epoch tag each
     #: event carries) are dropped instead of folded
@@ -187,7 +188,7 @@ class _Server:
     capacity: int | None = None
     inflight: dict[str, _Shard] = field(default_factory=dict)  # job id -> shard
     completed: int = 0
-    #: serializes this server's *sync* session calls (submit / terminal poll /
+    #: serializes this server's *sync* session calls (submit / restart probe /
     #: fallback): ``http.client`` holds one socket per session.  Rebound to a
     #: fresh :class:`asyncio.Lock` by every sweep (locks are loop-bound).
     lock: asyncio.Lock | None = field(default=None, repr=False)
@@ -464,7 +465,7 @@ class SweepCoordinator:
         row stream end to end and repeat; every consumed row is funneled —
         tagged with its shard's attempt epoch — through the bounded fold
         queue into the single folder task.  Sync client calls (submit,
-        terminal poll, fallback batches) run on a thread-pool executor,
+        restart probes, fallback batches) run on a thread-pool executor,
         serialized per server by its lock; the streams themselves are
         native-async and cost no threads.
         """
@@ -648,8 +649,7 @@ class SweepCoordinator:
         Rows are queued under this attempt's epoch so a forfeited attempt's
         leftovers can never fold; the ``end`` frame carries the terminal
         snapshot (per-item stats), which rides the queue behind every row
-        it must follow — a poll round-trip happens only as the fallback
-        for streams that end without one.
+        it must follow.
 
         With ``restart_grace`` set, a dead stream is not an immediate
         forfeit: the server is probed until the grace deadline, and a job
@@ -756,27 +756,20 @@ class SweepCoordinator:
         server.inflight.pop(job_id, None)
         if status == "done":
             if snapshot is None or "results" not in snapshot:
-                # end frame without the embedded snapshot (an injected test
-                # stream, or an older server): fall back to a terminal poll
-                poll = functools.partial(server.session.poll_job, job_id, since=cursor)
-                try:
-                    assert server.lock is not None
-                    async with server.lock:
-                        snapshot = await self._blocking(poll)
-                except _SERVER_LOST:
-                    self._lose_server(server, shard, state)
-                    return
-                except LookupError:
-                    self._vanish(server, shard, job_id, state)
-                    return
+                # the server always embeds the terminal snapshot in a done
+                # end frame; without it there is nothing to close the books
+                raise RuntimeError(
+                    f"server {server.url} ended job {job_id} as done without "
+                    "its snapshot on the end frame"
+                )
             server.completed += 1
             # the zero-repeats meter: journaled rows the server adopted
             # instead of re-evaluating (snapshot["replayed_rows"] is only
             # present on a journal-resumed job)
             self.last_report["rows_replayed"] += int(
-                (snapshot or {}).get("replayed_rows") or 0
+                snapshot.get("replayed_rows") or 0
             )
-            await self._enqueue(state, ("finish", shard, epoch, (server.url, snapshot)))
+            await self._enqueue(state, ("finish", shard, epoch, snapshot))
         elif status in ("failed", "cancelled"):
             shard.reset_fold()
             # prefer a different server for the retry (the failure may be
@@ -908,9 +901,7 @@ class SweepCoordinator:
                     shard.reset_fold()
                     self._emit("cursor_reset", server=payload, shard=shard.describe())
                 else:  # "finish": the terminal snapshot closes the books
-                    server_url, snapshot = payload
-                    self._fold_rows(server_url, shard, snapshot)
-                    self._finish_shard(shard, snapshot, state.results)
+                    self._finish_shard(shard, payload, state.results)
                     shard.done = True
                     state.complete_shard()
         except asyncio.CancelledError:
@@ -1004,32 +995,6 @@ class SweepCoordinator:
             pending.append(shard)
         return None
 
-    def _fold_rows(
-        self, server_url: str, shard: _Shard, snapshot: Mapping[str, Any]
-    ) -> bool:
-        """Fold a snapshot's row page into the shard's items (folder lane).
-
-        On the pipelined path, rows travel the stream and the terminal
-        snapshot rides the end frame with no row page at all — so this
-        normally folds nothing.  It exists for the fallback terminal poll
-        (``since=<last folded seq>``): a job re-run between the stream's
-        end and that poll answers ``cursor_reset`` with the full row list,
-        and this rebuild keeps the fold exact.
-        """
-        if snapshot.get("cursor_reset"):
-            # the job behind this id was re-run (or the log restarted):
-            # whatever was folded so far may not prefix the new log — drop
-            # it and rebuild from the full row list this snapshot carries
-            shard.reset_fold()
-            self._emit("cursor_reset", server=server_url, shard=shard.describe())
-        rows = snapshot.get("rows") or ()
-        for row in rows:
-            item = shard.items[int(row["item"])]
-            item.fold(wire.row_to_point(row, item.statement))
-        shard.cursor = int(snapshot.get("rows_total", shard.cursor + len(rows)))
-        self.last_report["rows_streamed"] += len(rows)
-        return bool(rows)
-
     def _finish_shard(
         self,
         shard: _Shard,
@@ -1063,7 +1028,7 @@ class SweepCoordinator:
 
         Only the *caller's* shard is requeued: every other shard inflight on
         the dead server has its own consumer task, which observes the death
-        itself (stream reset, failed terminal poll, or the idle timeout) —
+        itself (stream reset, a job that vanished, or the idle timeout) —
         per-consumer requeue is what makes a shard impossible to requeue
         twice.  The fold/attempt bookkeeping here runs without an await
         point, so the folder can never interleave with a half-forfeited

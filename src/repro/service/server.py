@@ -21,12 +21,10 @@ Endpoints (all under ``/v1``; the full request/response reference lives in
                                then ``stats``
 ``POST /v1/evaluate_names``    paper dataflow names -> per-name perf results
 ``POST /v1/jobs``              submit a sweep job to the bounded queue
-                               (503 full); ``stream_rows``/``include_rows``
-                               opt into the per-design row log
+                               (503 full); ``stream_rows`` opts into the
+                               per-design row log
 ``GET  /v1/jobs``              list jobs
-``GET  /v1/jobs/<id>``         poll one job; ``?since=<seq>`` additionally
-                               returns only the rows produced after that
-                               cursor (incremental row streaming)
+``GET  /v1/jobs/<id>``         poll one job's snapshot
 ``GET  /v1/jobs/<id>/rows``    NDJSON long-poll: every row from ``?since=``
                                on, *as the job produces them*, until the job
                                reaches a terminal state
@@ -78,6 +76,11 @@ _engine_options = wire.engine_options
 
 _JOB_ID_RE = re.compile(r"^job-(\d+)$")
 
+#: The top-level keys a ``POST /v1/jobs`` body may carry.
+_JOB_KEYS = frozenset(
+    {"workloads", "configs", "extents", "options", "stream_rows", "submit_key"}
+)
+
 
 def _job_number(job_id: str) -> int:
     """Numeric part of a ``job-<n>`` id; 0 for foreign ids (sorts first)."""
@@ -94,14 +97,13 @@ class Job:
     through :meth:`snapshot` at every point of its life cycle
     (``queued -> running -> done | failed | cancelled``).
 
-    When the submit payload asked for rows (``stream_rows`` or
-    ``include_rows``), every evaluated design is appended to :attr:`rows` as a
-    ``/v1/explore``-format wire row *while the job runs*, extended with two
-    keys: ``seq`` — the 1-based, job-global, strictly increasing row cursor —
-    and ``item`` — the 0-based index of the (config, workload) item (in
-    configs-major job order) the design belongs to.  ``rows`` only ever
-    grows, which is what makes ``snapshot(since=N)`` (only rows after cursor
-    ``N``) and the ``GET /v1/jobs/<id>/rows`` long-poll safe to serve from
+    When the submit payload asked for rows (``stream_rows``), every
+    evaluated design is appended to :attr:`rows` as a ``/v1/explore``-format
+    wire row *while the job runs*, extended with two keys: ``seq`` — the
+    1-based, job-global, strictly increasing row cursor — and ``item`` — the
+    0-based index of the (config, workload) item (in configs-major job
+    order) the design belongs to.  ``rows`` only ever grows, which is what
+    makes the ``GET /v1/jobs/<id>/rows`` long-poll safe to serve from
     another thread without locking.
     """
 
@@ -118,7 +120,7 @@ class Job:
     #: The incremental per-design row log (see class docstring); populated
     #: only when :attr:`keep_rows` is set at submit time.
     rows: list[dict[str, Any]] = field(default_factory=list)
-    #: Whether this job records :attr:`rows` (``stream_rows``/``include_rows``).
+    #: Whether this job records :attr:`rows` (``stream_rows``).
     keep_rows: bool = False
     #: True for a job rebuilt from a journal that had no terminal entry: it
     #: was queued or running when the server died and re-enters the queue.
@@ -131,16 +133,8 @@ class Job:
     #: the job ends instead of sleeping the pause out.
     done: asyncio.Event = field(default_factory=asyncio.Event)
 
-    def snapshot(self, since: int | None = None) -> dict[str, Any]:
-        """The job's JSON wire shape; ``since`` adds the incremental row page.
-
-        With ``since=N`` the snapshot additionally carries ``rows`` (every
-        row with ``seq > N``), ``rows_total`` (the caller's next cursor) and —
-        when ``N`` lies beyond the end of the log, i.e. the cursor came from
-        a different run of this job id — ``cursor_reset: true`` with the
-        *full* row list, so a client can drop its stale fold and resync from
-        the snapshot instead of silently missing rows.
-        """
+    def snapshot(self) -> dict[str, Any]:
+        """The job's JSON wire shape (rows travel only over ``/rows``)."""
         out: dict[str, Any] = {
             "id": self.id,
             "status": self.status,
@@ -165,19 +159,6 @@ class Job:
             out["replayed_rows"] = self.replayed_rows
         if self.status in ("done", "cancelled") and self.results:
             out["results"] = self.results
-        if since is not None:
-            if not self.keep_rows:
-                raise ValueError(
-                    f"job {self.id!r} was not submitted with stream_rows/"
-                    "include_rows; it keeps no row log to page with ?since="
-                )
-            total = len(self.rows)  # snapshot the length: rows only grows
-            cursor = max(0, since)
-            if cursor > total:
-                out["cursor_reset"] = True
-                cursor = 0
-            out["rows"] = self.rows[cursor:total]
-            out["rows_total"] = total
         return out
 
 
@@ -680,7 +661,7 @@ class EvaluationService:
             job_id = path[len("/v1/jobs/") : -len("/rows")]
             await self._job_rows_stream(job_id, params, writer)
         elif method in ("GET", "DELETE") and path.startswith("/v1/jobs/"):
-            self._job_detail(method, path.rsplit("/", 1)[1], params, writer)
+            self._job_detail(method, path.rsplit("/", 1)[1], writer)
         else:
             self._json_response(
                 writer,
@@ -762,11 +743,17 @@ class EvaluationService:
 
     # -- jobs -------------------------------------------------------------
     def _submit_job(self, payload: Mapping[str, Any], writer) -> None:
+        unknown = sorted(set(payload) - _JOB_KEYS)
+        if unknown:
+            # a misspelt flag must not be a silent no-op (a 202 whose job
+            # then keeps no row log): reject it like DesignRequest fields
+            raise ValueError(
+                f"job body has unknown key(s) {unknown}; known: {sorted(_JOB_KEYS)}"
+            )
         items = wire.job_items(payload)  # validates the workloads list shape
         _engine_options(payload)  # validate option names up front
-        for flag in ("include_rows", "stream_rows"):
-            if not isinstance(payload.get(flag, False), bool):
-                raise ValueError(f'"{flag}" must be a boolean')
+        if not isinstance(payload.get("stream_rows", False), bool):
+            raise ValueError('"stream_rows" must be a boolean')
         submit_key = payload.get("submit_key")
         if submit_key is not None and not isinstance(submit_key, str):
             raise ValueError('"submit_key" must be a string')
@@ -808,9 +795,7 @@ class EvaluationService:
             id=f"job-{next(self._job_ids)}",
             payload=dict(payload),
             total_items=len(items) * max(1, len(configs)),
-            keep_rows=bool(
-                payload.get("include_rows") or payload.get("stream_rows")
-            ),
+            keep_rows=bool(payload.get("stream_rows")),
         )
         try:
             self._job_queue.put_nowait(job)
@@ -857,9 +842,7 @@ class EvaluationService:
                 f'"since" must be an integer row cursor, got {raw!r}'
             ) from None
 
-    def _job_detail(
-        self, method: str, job_id: str, params: Mapping[str, str], writer
-    ) -> None:
+    def _job_detail(self, method: str, job_id: str, writer) -> None:
         job = self.jobs.get(job_id)
         if job is None:
             self._json_response(
@@ -881,9 +864,7 @@ class EvaluationService:
             elif job.status == "running":
                 job.cancel_requested = True
                 job.cancelled_while = "running"
-        self._json_response(
-            writer, 200, {"job": job.snapshot(since=self._since_param(params))}
-        )
+        self._json_response(writer, 200, {"job": job.snapshot()})
 
     async def _job_rows_stream(
         self, job_id: str, params: Mapping[str, str], writer: asyncio.StreamWriter
@@ -917,7 +898,7 @@ class EvaluationService:
             return
         if not job.keep_rows:
             raise ValueError(
-                f"job {job_id!r} was not submitted with stream_rows/include_rows; "
+                f"job {job_id!r} was not submitted with stream_rows; "
                 "there is no row log to stream"
             )
         cursor = max(0, self._since_param(params) or 0)
@@ -1116,25 +1097,21 @@ class EvaluationService:
         as ``/v1/explore``, pooled when the session has ``workers`` — and,
         when the job keeps rows, every design lands in :attr:`Job.rows` *as
         it is evaluated*, tagged with its job-global ``seq`` cursor and its
-        ``item`` index.  That row log is what ``GET /v1/jobs/<id>?since=``
-        and the ``/rows`` long-poll serve incrementally while the job runs.
+        ``item`` index.  That row log is what the ``/rows`` long-poll
+        serves incrementally while the job runs.
 
         Cancellation is cooperative at *design* granularity: the flag is
         checked between evaluations — including once more after the last
         design, so a DELETE that lands during the final item still reports
         ``cancelled`` — and a cancelled job keeps the per-item records it
         finished (an aborted item's partial rows stay in the log; its record
-        is never appended).  With ``include_rows`` each finished record also
-        embeds its rows (points first, then failures, both in enumeration
-        order) — the pre-cursor fold-in contract, kept for clients that want
-        one self-contained terminal snapshot.
+        is never appended).
         """
         payload = job.payload
         configs = [wire.array_from_dict(c) for c in payload.get("configs") or []] or [
             None
         ]
         options = _engine_options(payload)
-        include_rows = bool(payload.get("include_rows", False))
         items = wire.job_items(payload)
         # journal resume state: a job rebuilt from a crashed run skips every
         # item whose record survived, and adopts the in-flight item's
@@ -1220,10 +1197,6 @@ class EvaluationService:
                     "best": [wire.point_to_row(p) for p in result.best(5)],
                     "pareto": [p.name for p in result.pareto()],
                 }
-                if include_rows:
-                    record["rows"] = [
-                        wire.point_to_row(p) for p in result.points
-                    ] + [wire.point_to_row(p) for p in result.failures]
                 job.results.append(record)
                 self._journal_append(job, "record", record)
         return not job.cancel_requested

@@ -285,9 +285,9 @@ def point_to_row(point: DesignPoint) -> dict[str, Any]:
     """One streamed design: metrics for successes, stage+reason for failures.
 
     ``seq`` (the point's 1-based emission index, when the engine assigned
-    one) travels with the row — it is the cursor the incremental job-row
-    endpoints (``GET /v1/jobs/<id>?since=`` and ``/v1/jobs/<id>/rows``) page
-    on, and lets any stream consumer detect dropped rows.
+    one) travels with the row — it is the cursor the job-row stream
+    (``GET /v1/jobs/<id>/rows?since=``) resumes from, and lets any stream
+    consumer detect dropped rows.
     """
     row: dict[str, Any] = {
         "row": "point" if point.ok else "failure",

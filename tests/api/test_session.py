@@ -449,51 +449,7 @@ class TestDelegation:
         assert path.exists()
 
 
-class TestDeprecationShims:
-    def test_dse_explore_warns(self):
-        from repro.explore.dse import explore
-
-        gemm = workloads.gemm(64, 64, 64)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            pts = explore(gemm, rows=8, cols=8, selections=GEMM_SEL)
-        assert len(pts) > 20
-
-    def test_dse_explore_matches_session_results(self):
-        """The shim is a pass-through: identical points, identical order."""
-        from repro.explore.dse import explore
-
-        gemm = workloads.gemm(64, 64, 64)
-        with pytest.warns(DeprecationWarning):
-            shim_points = explore(gemm, rows=8, cols=8, selections=GEMM_SEL)
-        session_points = (
-            Session(ArrayConfig(rows=8, cols=8)).explore(gemm, selections=GEMM_SEL).points
-        )
-        assert [p.name for p in shim_points] == [p.name for p in session_points]
-        assert [p.metrics() for p in shim_points] == [
-            p.metrics() for p in session_points
-        ]
-
-    def test_perf_evaluate_named_warns(self):
-        model = PerfModel(ArrayConfig(rows=8, cols=8))
-        gemm = workloads.gemm(64, 64, 64)
-        with pytest.warns(DeprecationWarning, match="Session.evaluate"):
-            r = model.evaluate_named(gemm, "MNK-SST")
-        assert 0 < r.normalized <= 1
-
-    def test_perf_evaluate_named_matches_session_results(self):
-        """The shim resolves and scores exactly like the perf backend."""
-        model = PerfModel(ArrayConfig(rows=8, cols=8))
-        gemm = workloads.gemm(64, 64, 64)
-        with pytest.warns(DeprecationWarning):
-            shim = model.evaluate_named(gemm, "MNK-SST")
-        via_session = Session(ArrayConfig(rows=8, cols=8)).evaluate(
-            "gemm", "MNK-SST", extents={"m": 64, "n": 64, "k": 64}
-        )
-        assert via_session.ok
-        assert via_session["cycles"] == shim.cycles
-        assert via_session["normalized_perf"] == shim.normalized
-        assert via_session["utilization"] == shim.utilization
-
+class TestPackageSurface:
     def test_new_paths_do_not_warn(self):
         session = Session(ArrayConfig(rows=8, cols=8))
         with warnings.catch_warnings():
@@ -501,8 +457,6 @@ class TestDeprecationShims:
             session.evaluate("gemm", "MNK-SST", extents={"m": 16, "n": 16, "k": 16})
             session.explore(workloads.gemm(16, 16, 16), selections=GEMM_SEL)
 
-
-class TestPackageSurface:
     def test_lazy_top_level_exports(self):
         import repro
         from repro.api import SessionProtocol

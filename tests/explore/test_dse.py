@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.api import Session
 from repro.core import naming
-from repro.explore.dse import explore
 from repro.explore.pareto import pareto_front
 from repro.ir import workloads
+from repro.perf.model import ArrayConfig
+
+
+def explore(statement, *, rows, cols, **options):
+    """The one-call exploration: successful design points, enumeration order."""
+    return Session(ArrayConfig(rows=rows, cols=cols)).explore(statement, **options).points
 
 
 @pytest.fixture(scope="module")

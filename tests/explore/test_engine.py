@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.api import Session
 from repro.core.enumerate import EnumerationStats, enumerate_designs, iter_designs
-from repro.explore.dse import explore
 from repro.explore.engine import (
     ONE_D_TYPES,
     DesignFailure,
@@ -84,12 +84,14 @@ class TestStreamingEnumeration:
 
 
 class TestEngineEvaluate:
-    def test_points_match_legacy_explore(self, small_engine):
+    def test_points_match_session_explore(self, small_engine):
         gemm = workloads.gemm(64, 64, 64)
         result = small_engine.evaluate(gemm, selections=GEMM_SEL)
-        legacy = explore(gemm, rows=8, cols=8, selections=GEMM_SEL)
-        assert [p.name for p in result.points] == [p.name for p in legacy]
-        assert [p.metrics() for p in result.points] == [p.metrics() for p in legacy]
+        session = (
+            Session(ArrayConfig(rows=8, cols=8)).explore(gemm, selections=GEMM_SEL).points
+        )
+        assert [p.name for p in result.points] == [p.name for p in session]
+        assert [p.metrics() for p in result.points] == [p.metrics() for p in session]
 
     def test_serial_parallel_bit_identical(self):
         engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), chunk_size=8)
@@ -170,23 +172,6 @@ class TestFailureChannel:
         assert "injected model failure" in failure.reason
         assert not result.failures[0].ok
         assert "skipped" in result.failure_report()
-
-    def test_legacy_wrapper_warns_on_skips(self):
-        from repro.core import naming
-
-        gemm = workloads.gemm(64, 64, 64)
-        spec = naming.spec_from_name(gemm, "MNK-SST")
-        engine = self._failing_engine()
-        with pytest.warns(RuntimeWarning, match="skipped"):
-            pts = explore(
-                gemm, rows=8, cols=8, specs=[spec], perf=engine.perf
-            )
-        assert pts == []
-
-    def test_legacy_wrapper_silent_when_clean(self, recwarn):
-        gemm = workloads.gemm(64, 64, 64)
-        explore(gemm, rows=8, cols=8, selections=GEMM_SEL)
-        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
 class TestMemoCache:

@@ -259,7 +259,7 @@ class TestFallbackCache:
 
 
 class TestIncrementalStreaming:
-    """The since-cursor fold path: rows stream, snapshots never re-ship."""
+    """The /rows fold path: rows stream once, snapshots ride the end frame."""
 
     def test_rows_streamed_not_reshipped(self, fleet, local_results):
         """The fold is built from the pushed row stream: the report counts
@@ -269,14 +269,14 @@ class TestIncrementalStreaming:
         a, b = fleet
 
         class RecordingSession(RemoteSession):
-            snapshots = []
+            polls = []
 
-            def poll_job(self, job_id, **kwargs):
-                snapshot = super().poll_job(job_id, **kwargs)
-                RecordingSession.snapshots.append(snapshot)
-                return snapshot
+            def _call(self, method, path, payload=None):
+                if method == "GET" and path.startswith("/v1/jobs/"):
+                    RecordingSession.polls.append(path)
+                return super()._call(method, path, payload)
 
-        RecordingSession.snapshots = []
+        RecordingSession.polls = []
         coordinator = SweepCoordinator(
             [a.url, b.url],
             array=ARRAY,
@@ -289,7 +289,34 @@ class TestIncrementalStreaming:
         # every row crossed the wire exactly once — on the stream; the
         # terminal snapshot arrived on the end frame, so no job ever
         # needed a poll round-trip
-        assert RecordingSession.snapshots == []
+        assert RecordingSession.polls == []
+        coordinator.close()
+
+    def test_done_end_frame_without_snapshot_raises(self, fleet):
+        """A done end frame must carry the job snapshot that closes the
+        books; one without it is a server contract violation, reported with
+        the server and job rather than papered over by a re-poll."""
+        a, _ = fleet
+
+        class SnapshotlessEnd(RemoteSession):
+            def job_rows_async(self, job_id, **kwargs):
+                inner = super().job_rows_async(job_id, **kwargs)
+
+                async def wrapped():
+                    async for frame in inner:
+                        if frame.get("row") == "end":
+                            frame = {k: v for k, v in frame.items() if k != "job"}
+                        yield frame
+
+                return wrapped()
+
+        coordinator = SweepCoordinator(
+            [a.url],
+            array=ARRAY,
+            session_factory=lambda url: SnapshotlessEnd(url, array=ARRAY),
+        )
+        with pytest.raises(RuntimeError, match=rf"server {a.url} ended job job-\d+"):
+            coordinator.sweep(WORKLOADS, **SWEEP_KW)
         coordinator.close()
 
     def test_cursor_reset_refolds_without_duplication(self, fleet, local_results):

@@ -55,6 +55,13 @@ def _wait_terminal(remote, job_id, budget=120):
     raise AssertionError(f"job {job_id} did not finish within {budget}s")
 
 
+def _rows(remote, job_id):
+    """A finished job's whole row log, read over ``/rows``."""
+    return [
+        f for f in remote.iter_job_rows(job_id) if f["row"] in ("point", "failure")
+    ]
+
+
 def _sans_stats(records):
     # a resumed item's fresh stats honestly count only post-crash
     # evaluations; everything else in the record must be identical
@@ -69,8 +76,7 @@ def reference_job():
         job = remote.submit_job([WORKLOAD], extents=EXTENTS, stream_rows=True)
         snap = _wait_terminal(remote, job["id"])
         assert snap["status"] == "done", snap
-        rows = remote.poll_job(job["id"], since=0)["rows"]
-        return rows, snap["results"]
+        return _rows(remote, job["id"]), snap["results"]
 
 
 class TestCrashRestart:
@@ -121,8 +127,7 @@ class TestCrashRestart:
             assert snap["status"] == "done", snap
 
             # bit-identical recovery: same rows, same records
-            page = remote.poll_job(job_id, since=0)
-            assert page["rows"] == ref_rows
+            assert _rows(remote, job_id) == ref_rows
             assert _sans_stats(snap["results"]) == _sans_stats(ref_results)
 
             if kill_point == "after_terminal":
@@ -211,7 +216,7 @@ class TestCursorBoundary:
             )
             snap = _wait_terminal(remote, job["id"])
             assert snap["status"] == "done"
-            total = remote.poll_job(job["id"], since=0)["rows_total"]
+            total = len(_rows(remote, job["id"]))
             assert total > 0
             port = srv.port
         finally:
@@ -223,21 +228,19 @@ class TestCursorBoundary:
         try:
             remote = RemoteSession(srv.url)
             # exactly on the end of the log: no reset, no rows, clean end
-            page = remote.poll_job(job["id"], since=total)
-            assert "cursor_reset" not in page
-            assert page["rows"] == [] and page["rows_total"] == total
             frames = list(remote.iter_job_rows(job["id"], since=total))
             assert [f["row"] for f in frames] == ["start", "end"]
             assert "cursor_reset" not in frames[0]
+            assert frames[-1]["rows_total"] == total
             # one before the end: exactly the final row, never a replay
             start, last, end = list(
                 remote.iter_job_rows(job["id"], since=total - 1)
             )
             assert last["seq"] == total and end["row"] == "end"
             # one PAST the end is a stale cursor from another life: reset
-            stale = remote.poll_job(job["id"], since=total + 1)
-            assert stale.get("cursor_reset") is True
-            assert len(stale["rows"]) == total
+            stale = list(remote.iter_job_rows(job["id"], since=total + 1))
+            assert stale[0].get("cursor_reset") is True
+            assert len([f for f in stale if "seq" in f]) == total
         finally:
             srv.stop()
 

@@ -133,13 +133,10 @@ def test_any_truncation_replays_the_durable_prefix(
         job.resumed = True  # queued/running at the crash: resumes
     else:
         job.status = fields["status"]
-    snap = job.snapshot(since=0)
-    assert snap["rows"] == exp_rows
-    assert snap["rows_total"] == len(exp_rows)
+    snap = job.snapshot()
+    assert job.rows == exp_rows
     # seqs are a contiguous prefix: seq == index + 1 is the cursor invariant
-    assert [row["seq"] for row in snap["rows"]] == list(
-        range(1, len(exp_rows) + 1)
-    )
+    assert [row["seq"] for row in job.rows] == list(range(1, len(exp_rows) + 1))
     assert snap["progress"]["completed"] == len(exp_records)
     assert snap["status"] == (status if end_survived else "queued")
 
@@ -176,3 +173,38 @@ def test_entries_before_header_are_rejected():
 def test_empty_journal_replays_to_nothing():
     assert wire.decode_journal(b"") == []
     assert wire.replay_journal([]) is None
+
+
+def test_journal_with_retired_include_rows_still_replays(tmp_path):
+    """Journals written while ``include_rows`` still existed carry it in the
+    header payload, and full row lists in their records.  Replay does not
+    re-validate payloads, so such a job is rebuilt as written and its row
+    log still streams over ``/rows``."""
+    from repro.api import LocalSession
+    from repro.service import RemoteSession, ServiceThread
+
+    entries = _entries(4, 2, True, "done")
+    entries[0][1]["payload"] = {
+        "workloads": ["w"],
+        "include_rows": True,
+        "stream_rows": True,
+    }
+    rows = [fields for kind, fields in entries if kind == "row"]
+    for kind, fields in entries:
+        if kind == "record":
+            fields["rows"] = [r for r in rows if r["item"] == fields["item"]]
+    (tmp_path / f"job-3{wire.JOURNAL_SUFFIX}").write_bytes(
+        b"".join(
+            wire.encode_journal_entry(wire.journal_entry(kind, fields))
+            for kind, fields in entries
+        )
+    )
+    with ServiceThread(LocalSession(), journal_dir=tmp_path) as srv:
+        remote = RemoteSession(srv.url)
+        snap = remote.job("job-3")
+        assert snap["status"] == "done"
+        assert snap["progress"] == {"completed": 2, "total": 2}
+        frames = list(remote.iter_job_rows("job-3"))
+        assert [f["seq"] for f in frames if "seq" in f] == [1, 2, 3, 4]
+        assert frames[-1]["row"] == "end" and frames[-1]["rows_total"] == 4
+        remote.close()

@@ -1,5 +1,6 @@
 """The evaluation service: wire protocol, streaming, jobs, shutdown."""
 
+import asyncio
 import http.client
 import json
 import os
@@ -16,6 +17,7 @@ from repro.api import SCHEMA_VERSION, LocalSession
 from repro.api.types import SchemaVersionError
 from repro.perf.model import ArrayConfig
 from repro.service import RemoteSession, ServiceThread
+from repro.service.client import AsyncRemoteSession
 
 SMALL = {"m": 4, "n": 4, "k": 4}
 SMALL_ARRAY = ArrayConfig(rows=2, cols=2)
@@ -209,6 +211,32 @@ class TestStreaming:
             LocalSession(ArrayConfig(rows=4, cols=4)).explore("gemm", extents={"M": 64})
 
 
+#: A data row for fabricated jobs (the runner never sees these jobs).
+FABRICATED_ROW = {"row": "failure", "seq": 1, "item": 0, "selection": ["m"],
+                  "stt": [[1]], "stage": "perf", "reason": "fabricated"}
+
+
+def _data(frames):
+    """The point/failure rows of a row stream, framing dropped."""
+    return [f for f in frames if f["row"] in ("point", "failure")]
+
+
+def _running_job(thread, job_id):
+    """Fabricate a running, row-logging job the way the runner thread builds
+    one: the test then appends rows and flips the status itself."""
+    from repro.service.server import Job
+
+    job = Job(
+        id=job_id,
+        payload={"workloads": ["gemm"]},
+        status="running",
+        keep_rows=True,
+        total_items=1,
+    )
+    thread.service.jobs[job.id] = job
+    return job
+
+
 def _wait_terminal(remote, job_id, budget=120):
     deadline = time.monotonic() + budget
     while time.monotonic() < deadline:
@@ -233,32 +261,54 @@ class TestJobs:
         assert row["workload"] == "batched_gemv"
         assert row["points"] > 0
         assert row["best"] and row["pareto"]
-        assert "rows" not in row  # full rows only on request (include_rows)
+        assert "rows" not in row  # rows travel only over /rows
         assert any(j["id"] == job["id"] for j in remote.jobs())
 
-    def test_include_rows_round_trip(self, remote):
-        """include_rows keeps every design as a wire row the client can
-        rebuild into the exact local EvaluationResult (the coordinator's
+    def test_streamed_rows_round_trip(self, remote):
+        """The /rows stream carries every design as a wire row the client
+        can rebuild into the exact local EvaluationResult (the coordinator's
         fold-in source)."""
         from repro.ir import workloads as workload_lib
         from repro.service import wire
 
         extents = {"m": 8, "n": 8, "k": 8}
         job = remote.submit_job(
-            ["batched_gemv"], one_d_only=True, extents=extents, include_rows=True
+            ["batched_gemv"], one_d_only=True, extents=extents, stream_rows=True
         )
-        job = _wait_terminal(remote, job["id"])
-        assert job["status"] == "done", job
-        (record,) = job["results"]
-        assert len(record["rows"]) == record["points"] + record["failures"]
+        frames = list(remote.iter_job_rows(job["id"]))
+        assert frames[-1]["status"] == "done", frames[-1]
+        (record,) = frames[-1]["job"]["results"]
+        rows = _data(frames)
+        assert len(rows) == record["points"] + record["failures"]
         statement = workload_lib.by_name("batched_gemv", **extents)
-        points = [wire.row_to_point(row, statement) for row in record["rows"]]
+        points = [wire.row_to_point(row, statement) for row in rows]
         local = LocalSession(ArrayConfig(rows=8, cols=8)).explore(
             "batched_gemv", extents=extents, one_d_only=True
         )
         assert [p.metrics() for p in points if p.ok] == [
             p.metrics() for p in local.points
         ]
+
+    def test_unknown_job_keys_are_400(self, remote):
+        """A misspelt or retired top-level key is refused, not ignored: a 202
+        for ``"stream_row": true`` would leave a job with no row log."""
+        base = {"workloads": ["batched_gemv"], "options": {"one_d_only": True}}
+        for key in ("include_rows", "stream_row"):
+            with pytest.raises(ValueError, match=f"unknown key.*{key}.*known"):
+                remote._call("POST", "/v1/jobs", {**base, key: True})
+
+    def test_every_submit_job_body_is_accepted(self, remote):
+        """The full body submit_job builds — every key it can send — is a
+        202, so the key rule never rejects the reference client."""
+        job = remote.submit_job(
+            ["batched_gemv"],
+            configs=[ArrayConfig(rows=8, cols=8)],
+            extents={"m": 8, "n": 8, "k": 8},
+            stream_rows=True,
+            submit_key="every-key",
+            one_d_only=True,
+        )
+        assert _wait_terminal(remote, job["id"])["status"] == "done"
 
     def test_unknown_job_404(self, remote):
         with pytest.raises(LookupError, match="no such job"):
@@ -399,7 +449,7 @@ class TestJobs:
 
 
 class TestJobRowStreaming:
-    """The incremental row cursor (`?since=`) and the /rows long-poll."""
+    """The row cursor (`?since=`) and the /rows long-poll."""
 
     EXTENTS = {"m": 8, "n": 8, "k": 8}
 
@@ -411,58 +461,56 @@ class TestJobRowStreaming:
 
     def test_since_cursor_pages_the_row_log(self, remote):
         job = self._submit(remote)
-        job = _wait_terminal(remote, job["id"])
-        assert job["status"] == "done", job
-        full = remote.poll_job(job["id"], since=0)
-        rows = full["rows"]
-        assert rows and full["rows_total"] == len(rows)
+        full = list(remote.iter_job_rows(job["id"]))
+        end = full[-1]
+        assert end["status"] == "done", end
+        rows = _data(full)
+        assert rows and end["rows_total"] == len(rows)
         # seq is the 1-based, strictly increasing job-global cursor
         assert [row["seq"] for row in rows] == list(range(1, len(rows) + 1))
         assert all(row["item"] == 0 for row in rows)
-        (record,) = full["results"]
+        (record,) = end["job"]["results"]
         assert len(rows) == record["points"] + record["failures"]
         # a mid-log cursor returns exactly the rows after it
-        middle = remote.poll_job(job["id"], since=len(rows) // 2)
-        assert [r["seq"] for r in middle["rows"]] == [
-            r["seq"] for r in rows[len(rows) // 2 :]
-        ]
-        # a caught-up cursor returns an empty page, not an error
-        done = remote.poll_job(job["id"], since=full["rows_total"])
-        assert done["rows"] == [] and done["rows_total"] == full["rows_total"]
-        assert "cursor_reset" not in done
+        middle = _data(remote.iter_job_rows(job["id"], since=len(rows) // 2))
+        assert [r["seq"] for r in middle] == [r["seq"] for r in rows[len(rows) // 2 :]]
+        # a caught-up cursor gets start then end, not an error or a reset
+        done = list(remote.iter_job_rows(job["id"], since=end["rows_total"]))
+        assert [f["row"] for f in done] == ["start", "end"]
+        assert "cursor_reset" not in done[0]
+        assert done[-1]["rows_total"] == end["rows_total"]
 
     def test_cursor_past_end_resets_with_full_snapshot(self, remote):
         """A cursor beyond the log (e.g. from a previous run of the job id)
         comes back as the full row list plus cursor_reset — the client's
         signal to drop its fold and resync."""
         job = self._submit(remote)
-        job = _wait_terminal(remote, job["id"])
-        full = remote.poll_job(job["id"], since=0)
-        stale = remote.poll_job(job["id"], since=full["rows_total"] + 100)
-        assert stale["cursor_reset"] is True
-        assert [r["seq"] for r in stale["rows"]] == [r["seq"] for r in full["rows"]]
+        full = list(remote.iter_job_rows(job["id"]))
+        stale = list(
+            remote.iter_job_rows(job["id"], since=full[-1]["rows_total"] + 100)
+        )
+        assert stale[0]["cursor_reset"] is True
+        assert [r["seq"] for r in _data(stale)] == [r["seq"] for r in _data(full)]
 
     def test_rows_sequence_spans_items(self, remote):
         """A multi-item job has one global seq across items, and each row
         names the (config, workload) item it belongs to."""
         job = self._submit(remote, workloads=("gemm", "batched_gemv"))
-        job = _wait_terminal(remote, job["id"])
-        assert job["status"] == "done", job
-        rows = remote.poll_job(job["id"], since=0)["rows"]
+        frames = list(remote.iter_job_rows(job["id"]))
+        assert frames[-1]["status"] == "done", frames[-1]
+        rows = _data(frames)
         assert [row["seq"] for row in rows] == list(range(1, len(rows) + 1))
         items = [row["item"] for row in rows]
         assert set(items) == {0, 1}
         assert items == sorted(items)  # item 0's rows all precede item 1's
 
     def test_since_without_row_log_is_client_error(self, remote):
-        """Jobs that did not opt into rows reject cursor polls loudly instead
-        of serving an indistinguishable empty page."""
+        """Jobs that did not opt into rows reject the row stream loudly
+        instead of serving an indistinguishable empty stream."""
         job = remote.submit_job(
             ["batched_gemv"], one_d_only=True, extents=self.EXTENTS
         )
         _wait_terminal(remote, job["id"])
-        with pytest.raises(ValueError, match="stream_rows"):
-            remote.poll_job(job["id"], since=0)
         with pytest.raises(ValueError, match="row log"):
             list(remote.iter_job_rows(job["id"]))
 
@@ -470,7 +518,7 @@ class TestJobRowStreaming:
         job = self._submit(remote)
         _wait_terminal(remote, job["id"])
         with pytest.raises(ValueError, match="since"):
-            remote._call("GET", f"/v1/jobs/{job['id']}?since=banana")
+            remote._call("GET", f"/v1/jobs/{job['id']}/rows?since=banana")
 
     def test_tail_stream_long_polls_while_running(self, cached_service):
         """iter_job_rows yields rows *while the job runs*: the stream opens
@@ -491,16 +539,15 @@ class TestJobRowStreaming:
         assert data and all(r["row"] in ("point", "failure") for r in data)
         assert [r["seq"] for r in data] == list(range(1, len(data) + 1))
         assert rows[-1]["rows_total"] == len(data)
-        # the tail saw exactly what a terminal cursor poll serves
-        snapshot = remote.poll_job(job["id"], since=0)
-        assert [r["seq"] for r in snapshot["rows"]] == [r["seq"] for r in data]
+        # the live tail saw exactly what a replay of the finished log serves
+        replay = _data(remote.iter_job_rows(job["id"]))
+        assert [r["seq"] for r in replay] == [r["seq"] for r in data]
         remote.close()
         tail.close()
 
     def test_tail_resumes_from_since_cursor(self, remote):
         job = self._submit(remote)
-        _wait_terminal(remote, job["id"])
-        total = remote.poll_job(job["id"], since=0)["rows_total"]
+        total = list(remote.iter_job_rows(job["id"]))[-1]["rows_total"]
         resumed = list(remote.iter_job_rows(job["id"], since=total - 1))
         data = [r for r in resumed if r["row"] in ("point", "failure")]
         assert [r["seq"] for r in data] == [total]
@@ -510,26 +557,15 @@ class TestJobRowStreaming:
         cannot be flagged on the start frame (the job might still catch up):
         the reset travels mid-stream and the full log replays after it —
         never a silent zero-row end frame."""
-        from repro.service.server import Job
-
         with ServiceThread(LocalSession(SMALL_ARRAY)) as thread:
             # fabricate a running job the way the runner thread builds one:
             # rows appended from another thread, status flipped after
-            job = Job(
-                id="job-fab",
-                payload={"workloads": ["gemm"]},
-                status="running",
-                keep_rows=True,
-                total_items=1,
-            )
-            thread.service.jobs[job.id] = job
+            job = _running_job(thread, "job-fab")
             stream = RemoteSession(thread.url).iter_job_rows(job.id, since=50)
             start = next(stream)
             assert start["row"] == "start"
             assert "cursor_reset" not in start  # running: might still catch up
-            row = {"row": "failure", "seq": 1, "item": 0, "selection": ["m"],
-                   "stt": [[1]], "stage": "perf", "reason": "fabricated"}
-            job.rows.append(row)
+            job.rows.append(dict(FABRICATED_ROW))
             job.status = "done"  # ends at 1 row: far short of cursor 50
             rest = list(stream)
             assert [r["row"] for r in rest] == ["reset", "failure", "end"]
@@ -569,34 +605,22 @@ class TestJobRowStreaming:
             # that finished, contiguous from 1, and the cursor still pages
             data = [r for r in seen if r["row"] in ("point", "failure")]
             assert [r["seq"] for r in data] == list(range(1, len(data) + 1))
-            snapshot = remote.poll_job(job["id"], since=0)
-            assert snapshot["status"] == "cancelled"
-            assert snapshot["rows_total"] == seen[-1]["rows_total"]
-
+            assert remote.job(job["id"])["status"] == "cancelled"
+            replay = list(remote.iter_job_rows(job["id"]))
+            assert replay[-1]["rows_total"] == seen[-1]["rows_total"]
 
     def test_keepalive_frames_prove_liveness_while_idle(self):
         """A live job producing nothing heartbeats `keepalive` frames, so a
         tail can tell a slow job from a dead connection."""
-        from repro.service.server import Job
-
         with ServiceThread(LocalSession(SMALL_ARRAY)) as thread:
-            job = Job(
-                id="job-idle",
-                payload={"workloads": ["gemm"]},
-                status="running",
-                keep_rows=True,
-                total_items=1,
-            )
-            thread.service.jobs[job.id] = job
+            job = _running_job(thread, "job-idle")
             stream = RemoteSession(thread.url).iter_job_rows(
                 job.id, keepalive=0.05, keepalives=True
             )
             assert next(stream)["row"] == "start"
             beat = next(stream)  # nothing evaluates: the next frame is a beat
             assert beat == {"row": "keepalive", "status": "running", "rows_total": 0}
-            row = {"row": "failure", "seq": 1, "item": 0, "selection": ["m"],
-                   "stt": [[1]], "stage": "perf", "reason": "fabricated"}
-            job.rows.append(row)
+            job.rows.append(dict(FABRICATED_ROW))
             job.status = "done"
             rest = list(stream)
             assert [r["row"] for r in rest[-2:]] == ["failure", "end"]
@@ -606,17 +630,8 @@ class TestJobRowStreaming:
     def test_tail_swallows_keepalives_by_default(self):
         """Without `keepalives=True` the heartbeat frames are transport
         detail: consumers see only start/rows/end."""
-        from repro.service.server import Job
-
         with ServiceThread(LocalSession(SMALL_ARRAY)) as thread:
-            job = Job(
-                id="job-quiet",
-                payload={"workloads": ["gemm"]},
-                status="running",
-                keep_rows=True,
-                total_items=1,
-            )
-            thread.service.jobs[job.id] = job
+            job = _running_job(thread, "job-quiet")
             stream = RemoteSession(thread.url).iter_job_rows(job.id, keepalive=0.05)
             assert next(stream)["row"] == "start"
             # give the server time to emit (and the client to swallow) beats
@@ -637,13 +652,12 @@ class TestJobRowStreaming:
         assert "rows" not in snapshot  # the rows already streamed
         data = [r for r in rows if r["row"] in ("point", "failure")]
         assert data and end["rows_total"] == len(data)
-        assert snapshot["results"] == remote.poll_job(job["id"])["results"]
+        assert snapshot["results"] == remote.job(job["id"])["results"]
 
     def test_stream_leaves_connection_reusable(self, remote):
-        """Consuming a row stream to its end frame must drain the chunked
-        body fully: the next request on the recycled keep-alive socket would
-        otherwise fail mid-response and retry — and a retried POST /v1/jobs
-        submits a duplicate job."""
+        """Reading a row stream must leave the session's keep-alive socket
+        clean: a dirty socket would fail the next request mid-response and
+        retry it — and a retried POST /v1/jobs submits a duplicate job."""
         before = len(remote.jobs())
         job = self._submit(remote)
         assert list(remote.iter_job_rows(job["id"]))[-1]["row"] == "end"
@@ -651,71 +665,161 @@ class TestJobRowStreaming:
         _wait_terminal(remote, second["id"])
         assert len(remote.jobs()) == before + 2  # no phantom resubmission
 
-    def _truncating_session(self, url, drop_after, **kwargs):
-        """A RemoteSession whose first row stream dies after `drop_after`
-        NDJSON lines — the server-killed-mid-stream shape."""
+    @staticmethod
+    def _cut_first_stream(monkeypatch, keep_lines, *, garbled=False):
+        """Break the first row stream after `keep_lines` NDJSON lines.
 
-        class TruncatedResponse:
-            def __init__(self, response, left):
-                self._response = response
-                self._left = left
+        The fault sits in :class:`AsyncRemoteSession`'s chunk reader — the
+        transport under every row reader.  By default the connection then
+        dies mid-body (the server-killed-mid-stream shape); with `garbled`
+        the next line arrives malformed instead.  Returns the fault state;
+        ``state["fired"]`` proves the fault actually ran.
+        """
+        state = {"left": keep_lines, "fired": False, "dead": False}
+        original = AsyncRemoteSession._bounded_chunk
 
-            def readline(self):
-                if self._left == 0:
-                    self._response.close()  # the socket dies mid-body
-                    return b""
-                self._left -= 1
-                return self._response.readline()
+        async def bounded_chunk(cls, reader, idle_timeout):
+            if state["dead"]:
+                state["dead"] = False
+                raise ConnectionError("connection closed mid-stream")
+            chunk = await original(reader, idle_timeout)
+            if state["fired"] or chunk is None:
+                return chunk
+            lines = chunk.splitlines(keepends=True)
+            if len(lines) <= state["left"]:
+                state["left"] -= len(lines)
+                return chunk
+            state["fired"] = True
+            kept = b"".join(lines[: state["left"]])
+            if garbled:
+                return kept + b'{"row": "point", "seq": \n' + b"".join(
+                    lines[state["left"] :]
+                )
+            state["dead"] = True
+            return kept + lines[state["left"]][:7]  # a half-written line
 
-            def read(self, *args):
-                return self._response.read(*args)
+        monkeypatch.setattr(
+            AsyncRemoteSession, "_bounded_chunk", classmethod(bounded_chunk)
+        )
+        return state
 
-        class DroppingSession(RemoteSession):
-            dropped = False
-
-            def _stream(self, path, payload, method="POST"):
-                response = super()._stream(path, payload, method)
-                if self.dropped or "/rows" not in path:
-                    return response
-                self.dropped = True
-                return TruncatedResponse(response, drop_after)
-
-        return DroppingSession(url, **kwargs)
-
-    def test_stream_reconnects_with_cursor_after_mid_stream_drop(self, remote):
+    def test_stream_reconnects_with_cursor_after_mid_stream_drop(
+        self, remote, monkeypatch
+    ):
         """Regression: a row stream that dies mid-flight must resume from the
         last seen `seq` — every row exactly once, no duplicates, no gaps."""
         job = self._submit(remote)
-        _wait_terminal(remote, job["id"])
-        total = remote.poll_job(job["id"], since=0)["rows_total"]
+        total = list(remote.iter_job_rows(job["id"]))[-1]["rows_total"]
         assert total > 4
         # die after the start frame + 3 data rows: resume lands mid-log
-        session = self._truncating_session(
-            remote.url, drop_after=4, backoff=0.01
-        )
+        fault = self._cut_first_stream(monkeypatch, 4)
+        session = RemoteSession(remote.url, backoff=0.01)
         rows = list(session.iter_job_rows(job["id"]))
-        assert session.dropped  # the fault actually fired
+        assert fault["fired"]  # the fault actually fired
         assert [r["row"] for r in rows[:1]] == ["start"]  # start not re-yielded
         data = [r for r in rows if r["row"] in ("point", "failure")]
         assert [r["seq"] for r in data] == list(range(1, total + 1))
         assert rows[-1]["row"] == "end" and rows[-1]["rows_total"] == total
         session.close()
 
-    def test_stream_drop_without_reconnect_raises(self, remote):
+    def test_stream_drop_without_reconnect_raises(self, remote, monkeypatch):
         """`reconnect=False` surfaces the drop instead of resuming; a retry
         budget of zero does the same even with reconnect on."""
         job = self._submit(remote)
         _wait_terminal(remote, job["id"])
-        session = self._truncating_session(remote.url, drop_after=2, backoff=0.01)
+        self._cut_first_stream(monkeypatch, 2)
+        session = RemoteSession(remote.url, backoff=0.01)
         with pytest.raises(ConnectionError, match="dropped"):
             list(session.iter_job_rows(job["id"], reconnect=False))
         session.close()
-        session = self._truncating_session(
-            remote.url, drop_after=2, backoff=0.01, retries=0
-        )
+        self._cut_first_stream(monkeypatch, 2)
+        session = RemoteSession(remote.url, backoff=0.01, retries=0)
         with pytest.raises(ConnectionError, match="without progress"):
             list(session.iter_job_rows(job["id"]))
         session.close()
+
+    def test_malformed_line_is_a_drop_and_resumes(self, remote, monkeypatch):
+        """A garbled NDJSON line is a connection death, not data: the reader
+        resumes from the last good `seq` instead of raising ValueError (which
+        would fail a whole coordinated sweep)."""
+        job = self._submit(remote)
+        total = list(remote.iter_job_rows(job["id"]))[-1]["rows_total"]
+        fault = self._cut_first_stream(monkeypatch, 3, garbled=True)
+        session = RemoteSession(remote.url, backoff=0.01)
+        rows = list(session.iter_job_rows(job["id"]))
+        assert fault["fired"]
+        assert [r["seq"] for r in _data(rows)] == list(range(1, total + 1))
+        assert rows[-1]["row"] == "end"
+        session.close()
+
+    def test_garbled_chunk_header_is_a_drop(self):
+        """A chunk-size line that is not hex is a connection death like a
+        malformed row, not a ValueError out of the reader."""
+
+        async def garbling_server(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n")
+            await writer.drain()
+            writer.close()
+
+        async def consume():
+            server = await asyncio.start_server(garbling_server, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader = AsyncRemoteSession(f"http://127.0.0.1:{port}", retries=0)
+            try:
+                return [frame async for frame in reader.iter_job_rows("job-1")]
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        with pytest.raises(ConnectionError, match="malformed chunk size"):
+            asyncio.run(consume())
+
+    def test_silence_past_idle_timeout_is_a_drop(self):
+        """A stream that says nothing for `idle_timeout` (no rows, no
+        heartbeats) counts as dead; with no retries left it raises."""
+        with ServiceThread(LocalSession(SMALL_ARRAY)) as thread:
+            job = _running_job(thread, "job-silent")
+            reader = AsyncRemoteSession(thread.url, retries=0)
+
+            async def consume():
+                frames = []
+                async for frame in reader.iter_job_rows(
+                    job.id, keepalive=0, idle_timeout=0.2
+                ):
+                    frames.append(frame)
+                return frames
+
+            with pytest.raises(ConnectionError, match="without progress"):
+                asyncio.run(consume())
+            job.status = "done"
+
+    def test_keepalive_below_idle_timeout_outlives_a_slow_job(self):
+        """Heartbeats below `idle_timeout` keep a slow job's stream connected
+        through silences several timeouts long, up to its end frame."""
+        with ServiceThread(LocalSession(SMALL_ARRAY)) as thread:
+            job = _running_job(thread, "job-slow")
+            reader = AsyncRemoteSession(thread.url, retries=0)
+
+            def finish():
+                job.rows.append(dict(FABRICATED_ROW))
+                job.status = "done"
+
+            async def consume():
+                asyncio.get_running_loop().call_later(1.0, finish)
+                return [
+                    frame
+                    async for frame in reader.iter_job_rows(
+                        job.id, keepalive=0.05, idle_timeout=0.3
+                    )
+                ]
+
+            t0 = time.monotonic()
+            frames = asyncio.run(consume())
+            assert time.monotonic() - t0 >= 1.0  # outlived 3 idle timeouts
+            # retries=0: any drop would have raised instead of reaching here
+            assert [f["row"] for f in frames] == ["start", "failure", "end"]
+            assert frames[-1]["status"] == "done"
 
 
 class TestRetryBackoff:
