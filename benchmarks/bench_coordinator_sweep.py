@@ -33,8 +33,8 @@ bit-identical to ``LocalSession.sweep()``.  The measured numbers land in
 
 **Crash recovery** (``test_journal_resume_beats_shard_rerun_after_crash``)
 kills and restarts a single-server fleet mid-sweep under both recovery
-transports — the legacy **re-run-shard** path (no journal: the restarted
-server has never heard of the job, the coordinator re-submits and the shard
+transports — the **re-run-shard** path (no journal: the restarted server
+has never heard of the job, the coordinator re-submits and the shard
 re-evaluates from design 1) and the **journal-resume** path
 (``--journal-dir``: the restarted server rebuilds the job, adopts the
 journaled prefix and evaluates only the remainder) — and counts
@@ -72,6 +72,10 @@ from repro.service import (
 
 ARRAY = ArrayConfig(rows=8, cols=8)
 WORKLOADS = ["gemm", "batched_gemv"]
+#: The crash-recovery job: 2,884 designs at 8x8 run for over a second on the
+#: server, so the SIGKILL after ``kill_at`` rows always lands mid-job (the
+#: 207-design gemm job finishes in ~0.15 s and could outrun the watcher).
+CRASH_WORKLOAD = "conv2d"
 CONFIGS = [ARRAY, ArrayConfig(rows=4, cols=4)]
 SWEEP_KW = dict(one_d_only=True, selections=[("m", "n", "k")])
 
@@ -348,7 +352,7 @@ def _crash_recovery_sweep(tmp_path, *, journal, kill_at=24):
     watcher_thread = threading.Thread(target=crash_and_restart)
     watcher_thread.start()
     try:
-        results, elapsed = _timed(lambda: coordinator.sweep(["gemm"]))
+        results, elapsed = _timed(lambda: coordinator.sweep([CRASH_WORKLOAD]))
     finally:
         watcher_thread.join(timeout=120)
         report = dict(coordinator.last_report)
@@ -368,7 +372,7 @@ def test_journal_resume_beats_shard_rerun_after_crash(tmp_path):
     the asserted bars (deterministic); wall clock is recorded for the
     artifact only — a ~25-design replay gap drowns in shared-box noise.
     """
-    local = LocalSession(ARRAY).sweep(["gemm"])
+    local = LocalSession(ARRAY).sweep([CRASH_WORKLOAD])
     local_evaluated = sum(r.stats.evaluated for r in local)
 
     runs = {

@@ -316,7 +316,7 @@ def cmd_sweep(args) -> int:
         f"coordinated {report['items']} item(s) in {report['shards']} shard(s) "
         f"over {report['servers']} server(s): {report['jobs']} job(s), "
         f"{report['rows_streamed']} row(s) streamed, {report['fallbacks']} "
-        f"evaluate_many fallback(s), {report['reassigned']} reassigned, "
+        f"explore fallback(s), {report['reassigned']} reassigned, "
         f"{report['servers_lost']} server(s) lost"
     )
     if report.get("resumed"):
@@ -717,10 +717,11 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="wait this long for a crashed server to restart and resume its "
-        "jobs in place (needs servers running with --journal-dir) before "
-        "falling back to reassigning the shard (default 0: reassign "
-        "immediately)",
+        help="probe a crashed server this long for a restart that resumes "
+        "its jobs in place (needs servers running with --journal-dir) "
+        "before reassigning the shard (default 0: no probe, a dead server's "
+        "shards are reassigned at once; a live server that forgot a job "
+        "gets it resubmitted at any grace)",
     )
     p_sweep.add_argument(
         "--verbose",

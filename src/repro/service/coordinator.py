@@ -37,25 +37,26 @@ How a sweep runs
    server no longer recognizes the cursor) drops the shard's partial fold
    and rebuilds from the replay.
 4. **Fallback** — a server that answers 503 (job queue full, or started
-   with ``--max-jobs 0``) is not dead, it just has no job capacity: the
-   shard's design space is enumerated coordinator-side and shipped as
-   chunked ``evaluate_many`` batches of explicit ``selection``+``stt``
-   perf/cost request pairs instead.
-5. **Reassign** — a server that stops answering (killed mid-sweep,
-   connection refused/reset, a row stream that dies and cannot resume) —
-   or that *restarted* and forgot the job — forfeits the shard *the moment
-   its consumer fails*, not at the next poll round: the partial fold is
-   discarded (stale queued rows are dropped by an attempt-epoch tag) and
-   the shard goes back in the queue, excluded from the dead server, to run
+   with ``--max-jobs 0``) is not dead, it just has no job capacity: each
+   item of the shard runs through the server's own engine over
+   ``POST /v1/explore`` instead, exactly as :meth:`RemoteSession.sweep
+   <repro.service.client.RemoteSession.sweep>` does.
+5. **Recover** — one sequence, whatever went wrong.  A dead row stream
+   first *resumes*: the server is probed until the ``restart_grace``
+   deadline, and when it comes back with the job rebuilt from
+   ``--journal-dir`` the long-poll continues from the last consumed
+   ``seq`` (``job_resumed`` event) — the partial fold and every
+   already-evaluated design survive with zero repeated evaluations.  A
+   server that answers but has forgotten the job gets it *resubmitted*
+   under the same ``submit_key`` (``job_vanished``, then ``job_resumed``),
+   keeping fold and cursor.  Only then does the shard *forfeit*: a server
+   still unreachable at the deadline (at once with the default grace of
+   0), a refused resubmit or a spent resume budget discards the partial
+   fold (stale queued rows are dropped by an attempt-epoch tag) and puts
+   the shard back in the queue — excluded from a dead server — to run
    elsewhere.  A shard that keeps failing raises after ``max_retries``
-   reassignments — work is never silently dropped.  Every
-   retry/reassignment is surfaced through the ``on_event`` hook
-   (``repro sweep --verbose``).  With ``restart_grace > 0`` reassignment
-   becomes the *last* resort: a crashed server is first probed until the
-   grace deadline, and when it comes back with its jobs rebuilt from
-   ``--journal-dir``, the row stream resumes from the last consumed ``seq``
-   (``job_resumed`` event) — the partial fold and every already-evaluated
-   design survive the crash with zero repeated evaluations.
+   reassignments — work is never silently dropped.  Every recovery step
+   is surfaced through the ``on_event`` hook (``repro sweep --verbose``).
 6. **Cache fold** — when the coordinator owns a :class:`MemoCache`, each
    surviving server's memo cache is pulled over ``GET /v1/cache`` and merged
    in, so the *next* sweep starts warm without shipping cache files around.
@@ -93,13 +94,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.api.protocol import SessionBase
 from repro.api.types import DesignRequest, EvalResult
 from repro.cost.model import CostParams
-from repro.explore.engine import (
-    DesignPoint,
-    EvaluationEngine,
-    EvaluationResult,
-    EvaluationStats,
-    MemoCache,
-)
+from repro.explore.engine import DesignPoint, EvaluationResult, MemoCache
 from repro.ir.einsum import Statement
 from repro.perf.model import ArrayConfig
 from repro.service import wire
@@ -107,6 +102,9 @@ from repro.service.client import RemoteSession
 from repro.service.wire import ServiceBusyError
 
 __all__ = ["SweepCoordinator", "CoordinatedSession"]
+
+#: Requests per server round-trip in :meth:`CoordinatedSession.evaluate_many`.
+_EVALUATE_MANY_CHUNK = 64
 
 #: Transport failures that mean "this server is gone", triggering shard
 #: reassignment.  HTTPException covers a server dying *mid-response*
@@ -182,15 +180,14 @@ class _Server:
     session: RemoteSession
     healthy: bool = True
     jobs_ok: bool = True  # False after a 503 (or a healthz max_jobs == 0)
-    probed: bool = False
     #: Weighted inflight bound from the healthz probe (``None`` until probed:
     #: fall back to the coordinator's ``max_inflight``).
     capacity: int | None = None
-    inflight: dict[str, _Shard] = field(default_factory=dict)  # job id -> shard
     completed: int = 0
     #: serializes this server's *sync* session calls (submit / restart probe /
-    #: fallback): ``http.client`` holds one socket per session.  Rebound to a
-    #: fresh :class:`asyncio.Lock` by every sweep (locks are loop-bound).
+    #: fallback explore): ``http.client`` holds one socket per session.
+    #: Rebound to a fresh :class:`asyncio.Lock` by every sweep (locks are
+    #: loop-bound).
     lock: asyncio.Lock | None = field(default=None, repr=False)
 
 
@@ -272,8 +269,6 @@ class SweepCoordinator:
         Seconds an idle worker lane sleeps before re-checking for
         assignable work (a safety-net cadence; the normal path is
         event-driven via the wake doorbell).
-    fallback_chunk:
-        Requests per ``evaluate_many`` call on the 503 fallback path.
     fold_queue:
         Bound of the row queue between the per-job stream consumers and the
         single folder lane (default 256 events).  Under backpressure — a
@@ -287,18 +282,18 @@ class SweepCoordinator:
         before declaring the connection dead and resuming/reassigning;
         ``0`` disables both the heartbeat and the idle timeout.
     restart_grace:
-        Seconds to wait for a crashed server to come back before forfeiting
-        its shards (default ``0``: forfeit immediately — the pre-journal
-        behavior).  With a grace, a dead row stream probes the server until
-        the deadline; if the job answers again (rebuilt from ``--journal-dir``
-        across a restart), the long-poll resumes from the last *consumed*
-        ``seq`` with a ``job_resumed`` event and **zero repeated
-        evaluations** — the partial fold survives.  A server that answers
-        but no longer knows the job gets the shard resubmitted under the
+        Seconds a dead row stream probes its server for a comeback before
+        the shard forfeits (default ``0``: no probe, a dead stream forfeits
+        at once).  If the job answers again within the grace (rebuilt from
+        ``--journal-dir`` across a restart), the long-poll resumes from the
+        last *consumed* ``seq`` with a ``job_resumed`` event and **zero
+        repeated evaluations** — the partial fold survives.  A server that
+        answers but no longer knows the job — found by the probe, or by the
+        stream itself at any grace — gets the shard resubmitted under the
         *same* ``submit_key`` (same attempt), so the replacement job's
         deterministic rows realign with the live cursor instead of resetting
-        the fold.  Only past the deadline does the legacy
-        reassign-and-re-run path take over.
+        the fold.  Only a server still gone at the deadline, a refused
+        resubmit or a spent resume budget forfeits the shard.
     on_row:
         Optional per-row hook, called by the folder lane with each folded
         :class:`DesignPoint` (coroutine functions are awaited — they apply
@@ -329,7 +324,6 @@ class SweepCoordinator:
         max_inflight: int = 2,
         max_retries: int = 2,
         poll_interval: float = 0.05,
-        fallback_chunk: int = 64,
         fold_queue: int = 256,
         stream_keepalive: float = 2.0,
         restart_grace: float = 0.0,
@@ -364,7 +358,6 @@ class SweepCoordinator:
         self.max_inflight = max_inflight
         self.max_retries = max_retries
         self.poll_interval = poll_interval
-        self.fallback_chunk = fallback_chunk
         self.fold_queue = fold_queue
         self.stream_keepalive = stream_keepalive
         self.restart_grace = restart_grace
@@ -438,10 +431,8 @@ class SweepCoordinator:
             # (503) or unreachable during the *last* sweep may have
             # recovered — the probe re-checks cheaply, and real deaths are
             # re-discovered in one connect attempt
-            server.inflight.clear()
             server.healthy = True
             server.jobs_ok = True
-            server.probed = False
             server.capacity = None
         for shard in shards:
             shard.done = False
@@ -465,7 +456,7 @@ class SweepCoordinator:
         row stream end to end and repeat; every consumed row is funneled —
         tagged with its shard's attempt epoch — through the bounded fold
         queue into the single folder task.  Sync client calls (submit,
-        restart probes, fallback batches) run on a thread-pool executor,
+        restart probes, fallback explores) run on a thread-pool executor,
         serialized per server by its lock; the streams themselves are
         native-async and cost no threads.
         """
@@ -523,7 +514,7 @@ class SweepCoordinator:
 
         Lanes exit when the sweep settles, their server dies, or — for all
         but lane 0 — when the server turns out to have no job capacity (the
-        sync ``evaluate_many`` fallback runs one shard at a time per server,
+        sync ``/v1/explore`` fallback runs one shard at a time per server,
         so spare lanes returning keeps those shards available to the rest of
         the fleet).  The last lane out with work remaining declares the
         fleet dead.
@@ -586,45 +577,31 @@ class SweepCoordinator:
         """Submit one shard as a job and consume it, or ride the fallback."""
         epoch = shard.attempts
         if server.jobs_ok:
-            submit = functools.partial(
-                server.session.submit_job,
-                # one {"workload", "extents"} payload per item: items keep
-                # their own problem sizes inside a grouped shard
-                [dict(item.payload) for item in shard.items],
-                configs=[shard.config],
-                stream_rows=True,
-                # unique per (sweep, shard, attempt): a transport retry of
-                # this submit can never double-enqueue, while a real
-                # reassignment gets a fresh job
-                submit_key=(
-                    f"{self._sweep_token}:{shard.items[0].index}:{shard.attempts}"
-                ),
-                **state.options,
-            )
             try:
-                assert server.lock is not None
-                async with server.lock:
-                    job = await self._blocking(submit)
+                job_id = await self._submit(server, shard, state)
             except ServiceBusyError:
                 # alive but out of job capacity: remember, fall through
-                # (_fallback emits the observer event)
                 server.jobs_ok = False
             except _SERVER_LOST:
                 self._lose_server(server, shard, state)
                 return
             else:
-                server.inflight[job["id"]] = shard
-                self.last_report["jobs"] += 1
-                await self._consume_job(server, shard, job["id"], epoch, state)
+                await self._consume_job(server, shard, job_id, epoch, state)
                 return
+        # the server's own engine over /v1/explore, one item at a time
+        self._emit("fallback", server=server.url, shard=shard.describe())
         try:
             assert server.lock is not None
             async with server.lock:
-                await self._blocking(
-                    functools.partial(
-                        self._fallback, server, shard, state.results, state.options
+                for item in shard.items:
+                    explore = functools.partial(
+                        server.session.explore,
+                        item.payload["workload"],
+                        array=shard.config,
+                        extents=item.payload["extents"],
+                        **state.options,
                     )
-                )
+                    state.results[item.index] = await self._blocking(explore)
         except _SERVER_LOST:
             self._lose_server(server, shard, state)
             return
@@ -632,6 +609,32 @@ class SweepCoordinator:
         self.last_report["fallbacks"] += 1
         shard.done = True
         state.complete_shard()
+
+    async def _submit(
+        self, server: _Server, shard: _Shard, state: _SweepState
+    ) -> str:
+        """Submit ``shard`` as one row-streaming job; returns the job id.
+
+        The ``submit_key`` is unique per (sweep, shard, attempt): a transport
+        retry of this submit can never double-enqueue, a resubmit of a
+        vanished job within the same attempt lands on the same key, and a
+        real reassignment gets a fresh job.
+        """
+        submit = functools.partial(
+            server.session.submit_job,
+            # one {"workload", "extents"} payload per item: items keep
+            # their own problem sizes inside a grouped shard
+            [dict(item.payload) for item in shard.items],
+            configs=[shard.config],
+            stream_rows=True,
+            submit_key=f"{self._sweep_token}:{shard.items[0].index}:{shard.attempts}",
+            **state.options,
+        )
+        assert server.lock is not None
+        async with server.lock:
+            job = await self._blocking(submit)
+        self.last_report["jobs"] += 1
+        return job["id"]
 
     async def _consume_job(
         self,
@@ -645,23 +648,22 @@ class SweepCoordinator:
 
         The stream (``RemoteSession.job_rows_async`` — the test injection
         point) already resumes dropped connections with the last seen
-        ``seq``; what reaches here unrecoverable means the server is gone.
-        Rows are queued under this attempt's epoch so a forfeited attempt's
-        leftovers can never fold; the ``end`` frame carries the terminal
-        snapshot (per-item stats), which rides the queue behind every row
-        it must follow.
+        ``seq``; what reaches here unrecoverable means the server is gone
+        or no longer knows the job.  Rows are queued under this attempt's
+        epoch so a forfeited attempt's leftovers can never fold; the ``end``
+        frame carries the terminal snapshot (per-item stats), which rides
+        the queue behind every row it must follow.
 
-        With ``restart_grace`` set, a dead stream is not an immediate
-        forfeit: the server is probed until the grace deadline, and a job
-        that answers again — rebuilt from its ``--journal-dir`` across a
-        restart — resumes the long-poll from the last seq *this consumer*
-        enqueued (not ``shard.cursor``: rows still crossing the fold queue
-        must not be fetched twice), keeping the partial fold and every
-        journaled evaluation.  A live server that forgot the job gets it
-        resubmitted under the original ``submit_key`` (same attempt): dedup
-        returns the rebuilt job when the journal survived, and otherwise the
-        replacement job's deterministic rows realign with the held cursor —
-        the long-poll simply waits for the re-run to catch up.
+        Recovery is one sequence (module docs, step 5).  A dead stream
+        probes the server until the ``restart_grace`` deadline; a job that
+        answers again resumes the long-poll from the last seq *this
+        consumer* enqueued (not ``shard.cursor``: rows still crossing the
+        fold queue must not be fetched twice).  A live server that forgot
+        the job gets it resubmitted under the original ``submit_key``:
+        dedup returns the rebuilt job when the journal survived, and
+        otherwise the replacement job's deterministic rows realign with the
+        held cursor.  Only a server still gone at the deadline, a refused
+        resubmit or a spent resume budget forfeits the shard.
         """
         idle_timeout = (
             5 * self.stream_keepalive if self.stream_keepalive > 0 else None
@@ -705,55 +707,48 @@ class SweepCoordinator:
                     if "seq" in frame:
                         cursor = int(frame["seq"])
                     await self._enqueue(state, ("row", shard, epoch, frame))
+                break  # the stream finished (end frame, or ran dry)
             except _STREAM_LOST:
-                server.inflight.pop(job_id, None)
-                if self._may_resume(resumes):
-                    verdict = await self._await_restart(server, job_id)
-                    if verdict == "resume":
-                        resumes += 1
-                        server.inflight[job_id] = shard
-                        self._note_resume(server, shard, job_id, cursor)
-                        continue
-                    if verdict == "resubmit":
-                        new_id = await self._resubmit_job(server, shard, state)
-                        if new_id is not None:
-                            resumes += 1
-                            self._emit(
-                                "job_vanished",
-                                server=server.url,
-                                job=job_id,
-                                shard=shard.describe(),
-                            )
-                            job_id = new_id
-                            server.inflight[job_id] = shard
-                            self._note_resume(server, shard, job_id, cursor)
-                            continue
-                self._lose_server(server, shard, state)
-                return
+                verdict = (
+                    await self._await_restart(server, job_id)
+                    if self._may_resume(resumes)
+                    else "dead"
+                )
             except LookupError:
                 # the server answered but no longer knows the job — it
                 # restarted (or pruned it)
-                server.inflight.pop(job_id, None)
-                if self._may_resume(resumes):
-                    new_id = await self._resubmit_job(server, shard, state)
-                    if new_id is not None:
-                        resumes += 1
-                        self._emit(
-                            "job_vanished",
-                            server=server.url,
-                            job=job_id,
-                            shard=shard.describe(),
-                        )
-                        job_id = new_id
-                        server.inflight[job_id] = shard
-                        self._note_resume(server, shard, job_id, cursor)
-                        continue
-                # without a grace (or past the resume budget) the row cursor
-                # is void too: re-run from scratch
-                self._vanish(server, shard, job_id, state)
+                verdict = "vanished"
+            if verdict == "dead":
+                self._lose_server(server, shard, state)
                 return
-            break  # the stream finished (end frame, or ran dry)
-        server.inflight.pop(job_id, None)
+            if verdict == "vanished":
+                self._emit(
+                    "job_vanished",
+                    server=server.url,
+                    job=job_id,
+                    shard=shard.describe(),
+                )
+                resubmitted = await self._resubmit(server, shard, state, resumes)
+                if resubmitted is None:
+                    # the row cursor died with the job: re-run from scratch
+                    shard.reset_fold()
+                    self._requeue(
+                        shard,
+                        state,
+                        reason=f"job {job_id} vanished on {server.url} "
+                        "and could not be resubmitted",
+                    )
+                    return
+                job_id = resubmitted
+            resumes += 1
+            self.last_report["resumed"] += 1
+            self._emit(
+                "job_resumed",
+                server=server.url,
+                job=job_id,
+                shard=shard.describe(),
+                since=cursor,
+            )
         if status == "done":
             if snapshot is None or "results" not in snapshot:
                 # the server always embeds the terminal snapshot in a done
@@ -796,51 +791,39 @@ class SweepCoordinator:
         if depth > state.queue_peak:
             state.queue_peak = depth
 
-    # -- crash/restart resume (restart_grace > 0) -------------------------
+    # -- recovery: resume, resubmit, forfeit -------------------------------
     def _may_resume(self, resumes: int) -> bool:
-        """Whether this consumer may try another in-place resume."""
-        return self.restart_grace > 0 and resumes < max(1, self.max_retries)
-
-    def _note_resume(
-        self, server: _Server, shard: _Shard, job_id: str, cursor: int
-    ) -> None:
-        self.last_report["resumed"] += 1
-        self._emit(
-            "job_resumed",
-            server=server.url,
-            job=job_id,
-            shard=shard.describe(),
-            since=cursor,
-        )
+        """Whether this consumer's resume budget allows another resume."""
+        return resumes < max(1, self.max_retries)
 
     async def _await_restart(self, server: _Server, job_id: str) -> str:
         """Probe a dead server until ``restart_grace`` runs out.
 
         Returns ``"resume"`` when the job answers again (the journal rebuilt
-        it across the restart), ``"resubmit"`` when the server is back but
+        it across the restart), ``"vanished"`` when the server is back but
         the job is gone, ``"dead"`` once the grace deadline passes with the
-        server still unreachable.
+        server still unreachable — at once, without a probe, for a grace of
+        0, so a hung server can never stall a grace-0 sweep.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.restart_grace
         pause = min(0.25, max(self.restart_grace / 10, 0.02))
-        while True:
+        while loop.time() < deadline:
             probe = functools.partial(server.session.job, job_id)
             try:
                 assert server.lock is not None
                 async with server.lock:
                     await self._blocking(probe)
             except LookupError:
-                return "resubmit"
+                return "vanished"
             except _SERVER_LOST:
-                if loop.time() >= deadline:
-                    return "dead"
                 await asyncio.sleep(pause)
                 continue
             return "resume"
+        return "dead"
 
-    async def _resubmit_job(
-        self, server: _Server, shard: _Shard, state: _SweepState
+    async def _resubmit(
+        self, server: _Server, shard: _Shard, state: _SweepState, resumes: int
     ) -> str | None:
         """Resubmit a vanished job under its *original* submit key.
 
@@ -848,29 +831,15 @@ class SweepCoordinator:
         dedups straight back to its old id, and a genuinely lost one is
         re-enqueued as a fresh job whose deterministic rows carry the same
         seqs — either way the caller keeps its fold and cursor.  Returns the
-        job id, or ``None`` when the server cannot take the job (busy or
-        gone again), letting the caller fall back to the legacy forfeit.
+        job id, or ``None`` when the resume budget is spent or the server
+        refuses the job (busy or gone again): the caller then forfeits.
         """
-        submit = functools.partial(
-            server.session.submit_job,
-            [dict(item.payload) for item in shard.items],
-            configs=[shard.config],
-            stream_rows=True,
-            submit_key=(
-                f"{self._sweep_token}:{shard.items[0].index}:{shard.attempts}"
-            ),
-            **state.options,
-        )
+        if not self._may_resume(resumes):
+            return None
         try:
-            assert server.lock is not None
-            async with server.lock:
-                job = await self._blocking(submit)
-        except ServiceBusyError:
+            return await self._submit(server, shard, state)
+        except (ServiceBusyError, *_SERVER_LOST):
             return None
-        except _SERVER_LOST:
-            return None
-        self.last_report["jobs"] += 1
-        return job["id"]
 
     async def _folder(self, state: _SweepState) -> None:
         """The single fold lane.
@@ -962,9 +931,6 @@ class SweepCoordinator:
         ``workers`` jobs in flight, clamped by its ``max_jobs`` queue depth —
         so per-server load follows advertised capacity instead of blind
         round-robin."""
-        if server.probed:
-            return
-        server.probed = True
         try:
             info = server.session._call("GET", "/v1/healthz")
         except _SERVER_LOST:
@@ -1056,20 +1022,6 @@ class SweepCoordinator:
                 )
             )
 
-    def _vanish(
-        self, server: _Server, shard: _Shard, job_id: str, state: _SweepState
-    ) -> None:
-        """A live server forgot the job: void the cursor, re-run from scratch."""
-        shard.reset_fold()
-        self._emit(
-            "job_vanished", server=server.url, job=job_id, shard=shard.describe()
-        )
-        self._requeue(
-            shard,
-            state,
-            reason=f"job {job_id} vanished on {server.url} (server restarted?)",
-        )
-
     def _requeue(self, shard: _Shard, state: _SweepState, *, reason: str) -> None:
         shard.attempts += 1
         if shard.attempts > self.max_retries:
@@ -1087,118 +1039,6 @@ class SweepCoordinator:
         state.pending.append(shard)
         # repro-lint: waive[RA004] every caller that passes a state runs on the loop; the probe thread reaches _lose_server with state=None only, so this set() never executes off-loop
         state.wake.set()
-
-    # -- the 503 fallback -------------------------------------------------
-    def _fallback(
-        self,
-        server: _Server,
-        shard: _Shard,
-        results: list[EvaluationResult | None],
-        options: Mapping[str, Any],
-    ) -> None:
-        """Run one shard through chunked ``evaluate_many`` instead of a job."""
-        self._emit("fallback", server=server.url, shard=shard.describe())
-        for item in shard.items:
-            results[item.index] = self._fallback_item(
-                server, shard.config, item, options
-            )
-
-    def _fallback_item(
-        self,
-        server: _Server,
-        config: ArrayConfig,
-        item: _ShardItem,
-        options: Mapping[str, Any],
-    ) -> EvaluationResult:
-        """Run one sweep item through chunked ``evaluate_many``.
-
-        The design space is enumerated coordinator-side (models never run
-        here), memo-probed against the coordinator's own fold cache, and the
-        misses ship as explicit ``selection``+``stt`` perf/cost request
-        pairs.  Pairing reproduces the engine's short-circuit semantics — a
-        perf rejection is a ``"perf"``-stage failure whatever the cost model
-        said — so the folded result is point-for-point identical to the job
-        path and to a local ``sweep()``.  Outcomes land in the fold cache's
-        engine sections (``spaces``/``points``), exactly like a local run's
-        would, so fallback shards warm future sweeps too.
-        """
-        engine = EvaluationEngine(
-            config,
-            width=self.width,
-            cost_params=self.cost_params,
-            sram_words=self.sram_words,
-            cache=self.cache,
-            autoflush=False,  # _fold_caches flushes once at the end
-        )
-        stats = EvaluationStats()
-        statement = item.statement
-        # (spec, memo-hit outcome or None, cache put-key or None), in order
-        probed: list[tuple] = []
-        prefix = engine._key_prefix(statement)
-        for spec in engine.iter_space(statement, stats=stats, **options):
-            outcome, key = engine._lookup(prefix, spec, stats)
-            probed.append((spec, outcome, key))
-
-        requests: list[DesignRequest] = []
-        for spec, outcome, _key in probed:
-            if outcome is not None:
-                continue
-            base = dict(
-                workload=item.payload["workload"],
-                extents=item.payload["extents"],
-                selection=list(spec.selected),
-                stt=[list(row) for row in spec.stt.matrix],
-                array=config,
-                width=self.width,
-                cost=self.cost_params,
-                sram_words=self.sram_words,
-            )
-            requests.append(DesignRequest(backend="perf", **base))
-            requests.append(DesignRequest(backend="cost", **base))
-
-        answers: list[EvalResult] = []
-        for start in range(0, len(requests), self.fallback_chunk):
-            answers.extend(
-                server.session.evaluate_many(
-                    requests[start : start + self.fallback_chunk]
-                )
-            )
-
-        points: list[DesignPoint] = []
-        failures: list[DesignPoint] = []
-        pairs = zip(answers[0::2], answers[1::2])
-        for spec, outcome, key in probed:
-            if outcome is None:
-                perf, cost = next(pairs)
-                rejected = perf if not perf.ok else (cost if not cost.ok else None)
-                if rejected is not None:
-                    outcome = (
-                        "fail",
-                        rejected.failure_stage or "perf",
-                        rejected.failure_reason or "rejected",
-                    )
-                else:
-                    outcome = (
-                        "ok",
-                        perf["normalized_perf"],
-                        perf["cycles"],
-                        cost["area_mm2"],
-                        cost["power_mw"],
-                    )
-                stats.evaluated += 1
-                if key is not None:
-                    engine.cache.put("points", key, list(outcome))
-            point = engine._point_from_outcome(spec, outcome)
-            point.seq = len(points) + len(failures) + 1  # emission order
-            (points if point.ok else failures).append(point)
-        stats.skipped = len(failures)
-        return EvaluationResult(
-            workload=statement.name,
-            array=config,
-            points=points,
-            failures=failures,
-            stats=stats,
-        )
 
     # -- cache folding ----------------------------------------------------
     def _fold_caches(self) -> None:
@@ -1298,10 +1138,9 @@ class CoordinatedSession(SessionBase):
         reqs = self._coerce_requests(requests)
         if not reqs:
             return []
-        chunk = max(1, self.coordinator.fallback_chunk)
         results: list[EvalResult | None] = [None] * len(reqs)
-        for i, start in enumerate(range(0, len(reqs), chunk)):
-            batch = reqs[start : start + chunk]
+        for i, start in enumerate(range(0, len(reqs), _EVALUATE_MANY_CHUNK)):
+            batch = reqs[start : start + _EVALUATE_MANY_CHUNK]
             # rotate the preferred server per chunk so a big batch spreads
             # across the fleet; _failover still covers the death of any one
             servers = self.coordinator.servers

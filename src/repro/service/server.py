@@ -579,7 +579,7 @@ class EvaluationService:
                     "workloads": sorted(TABLE_II),
                     "array": wire.array_to_dict(self.session.array),
                     # 0 = the job queue is disabled; coordinators use this to
-                    # pick the evaluate_many fallback without a probe 503
+                    # pick the /v1/explore fallback without a probe 503
                     "max_jobs": max(0, self.max_queued_jobs),
                     # the session's process-pool size: capacity-aware sweep
                     # coordinators weight per-server inflight by this

@@ -1,4 +1,4 @@
-"""The sweep coordinator: sharding, failure reassignment, 503 fallback, folds.
+"""The sweep coordinator: sharding, failure recovery, 503 fallback, folds.
 
 Every equality assertion here is against a plain ``LocalSession.sweep()`` on
 the same grid — the coordinator's contract is that distribution is invisible
@@ -16,6 +16,7 @@ from repro.perf.model import ArrayConfig, PerfModel
 from repro.service import (
     CoordinatedSession,
     RemoteSession,
+    ServiceBusyError,
     ServiceThread,
     SweepCoordinator,
 )
@@ -34,6 +35,24 @@ class SlowPerf(PerfModel):
     def evaluate(self, spec):
         time.sleep(0.002)
         return super().evaluate(spec)
+
+
+class ForgetfulServer(RemoteSession):
+    """Its first row stream fails as if the server had forgotten the job
+    (restarted without a journal, or pruned it); later streams are real."""
+
+    armed = True
+
+    def job_rows_async(self, job_id, **kwargs):
+        if ForgetfulServer.armed:
+            ForgetfulServer.armed = False
+
+            async def forgot():
+                raise LookupError(f"no such job {job_id!r}")
+                yield  # noqa: B901 — unreachable; makes a generator
+
+            return forgot()
+        return super().job_rows_async(job_id, **kwargs)
 
 
 def names_and_metrics(results):
@@ -189,9 +208,9 @@ class TestFailureModes:
 
 
 class TestFallback:
-    def test_full_queue_falls_back_to_evaluate_many(self, local_results):
-        """max_queued_jobs=0 means every submit would 503: the shard ships as
-        chunked evaluate_many batches and still folds identically."""
+    def test_full_queue_falls_back_to_explore(self, local_results):
+        """max_queued_jobs=0 means every submit would 503: each item runs
+        through the server's own /v1/explore and still folds identically."""
         with ServiceThread(LocalSession(ARRAY), max_queued_jobs=0) as thread:
             session = CoordinatedSession([thread.url], array=ARRAY)
             results = session.sweep(WORKLOADS, **SWEEP_KW)
@@ -235,12 +254,15 @@ class TestCacheFold:
 
 class TestFallbackCache:
     def test_fallback_shards_warm_the_fold_cache(self, tmp_path, local_results):
-        """The evaluate_many fallback writes the engine cache sections
-        (spaces/points) into the fold cache, so even a job-less fleet leaves
-        a cache that warms a LocalSession to zero evaluations — and a warm
-        rerun ships no requests at all."""
+        """Fallback shards run on the server's own engine, so its memo cache
+        warms and folds into the local one over the same ``GET /v1/cache``
+        pull as job shards: even a job-less fleet leaves a cache that warms a
+        LocalSession to zero evaluations — and a warm rerun evaluates
+        nothing."""
         cache_path = tmp_path / "fold.json"
-        with ServiceThread(LocalSession(ARRAY), max_queued_jobs=0) as thread:
+        with ServiceThread(
+            LocalSession(ARRAY, cache=MemoCache()), max_queued_jobs=0
+        ) as thread:
             cold = CoordinatedSession([thread.url], array=ARRAY, cache=cache_path)
             cold_results = cold.sweep(WORKLOADS, **SWEEP_KW)
             assert cold.coordinator.last_report["fallbacks"] == 2
@@ -369,24 +391,11 @@ class TestIncrementalStreaming:
 
     def test_vanished_job_is_requeued_and_refolded(self, fleet, local_results):
         """A server that answers but no longer knows the job (restarted,
-        pruned) voids the cursor: the shard re-runs from scratch."""
+        pruned) gets the shard resubmitted under the same submit key, at the
+        default grace of 0 too: the fold and cursor survive, nothing is
+        reassigned, and the result is identical to local."""
         a, _ = fleet
         events = []
-
-        class ForgetfulServer(RemoteSession):
-            armed = True
-
-            def job_rows_async(self, job_id, **kwargs):
-                if ForgetfulServer.armed:
-                    ForgetfulServer.armed = False
-
-                    async def forgot():
-                        raise LookupError(f"no such job {job_id!r}")
-                        yield  # noqa: B901 — unreachable; makes a generator
-
-                    return forgot()
-                return super().job_rows_async(job_id, **kwargs)
-
         ForgetfulServer.armed = True
         coordinator = SweepCoordinator(
             [a.url],
@@ -395,12 +404,55 @@ class TestIncrementalStreaming:
             session_factory=lambda url: ForgetfulServer(url, array=ARRAY),
         )
         results = coordinator.sweep(WORKLOADS, **SWEEP_KW)
+        assert not ForgetfulServer.armed, "no stream ever forgot its job"
         assert names_and_metrics(results) == names_and_metrics(local_results)
+        assert coordinator.last_report["reassigned"] == 0
+        assert coordinator.last_report["resumed"] >= 1
+        kinds = [e["event"] for e in events]
+        assert "job_vanished" in kinds and "job_resumed" in kinds
+        vanished = next(e for e in events if e["event"] == "job_vanished")
+        assert vanished["server"] == a.url and vanished["job"].startswith("job-")
+        coordinator.close()
+
+    def test_refused_resubmit_forfeits_and_requeues(self, fleet, local_results):
+        """When the server refuses the resubmit of a vanished job (busy),
+        the shard forfeits: its partial fold is dropped, it is requeued as a
+        fresh attempt, and the result is still identical to local."""
+        a, _ = fleet
+        events = []
+
+        class RefusesResubmit(ForgetfulServer):
+            keys = {}  # job id -> submit key
+            refuse = None  # the submit key whose next submit gets a 503
+
+            def job_rows_async(self, job_id, **kwargs):
+                if ForgetfulServer.armed:
+                    RefusesResubmit.refuse = RefusesResubmit.keys[job_id]
+                return super().job_rows_async(job_id, **kwargs)
+
+            def submit_job(self, *args, submit_key=None, **kwargs):
+                if submit_key is not None and submit_key == RefusesResubmit.refuse:
+                    RefusesResubmit.refuse = None
+                    raise ServiceBusyError("job queue full")
+                job = super().submit_job(*args, submit_key=submit_key, **kwargs)
+                RefusesResubmit.keys[job["id"]] = submit_key
+                return job
+
+        ForgetfulServer.armed = True
+        coordinator = SweepCoordinator(
+            [a.url],
+            array=ARRAY,
+            on_event=events.append,
+            session_factory=lambda url: RefusesResubmit(url, array=ARRAY),
+        )
+        results = coordinator.sweep(WORKLOADS, **SWEEP_KW)
+        assert not ForgetfulServer.armed, "no stream ever forgot its job"
+        assert RefusesResubmit.refuse is None, "no resubmit was ever refused"
+        assert names_and_metrics(results) == names_and_metrics(local_results)
+        assert failure_rows(results) == failure_rows(local_results)
         assert coordinator.last_report["reassigned"] >= 1
         kinds = [e["event"] for e in events]
         assert "job_vanished" in kinds and "reassigned" in kinds
-        vanished = next(e for e in events if e["event"] == "job_vanished")
-        assert vanished["server"] == a.url and vanished["job"].startswith("job-")
         coordinator.close()
 
 
